@@ -146,10 +146,7 @@ def transmit(ch: AwgnSplitChannel, x: BitVector, rng) -> tuple:
 
 def bsc_transmit(bsc: Bsc, x: BitVector, rng) -> BitVector:
     """Flip each bit of x independently with probability bsc.p."""
-    flips = 0
-    for i in range(x.len):
-        flips |= rng.bernoulli(bsc.p) << i
-    return BitVector(x.len, x.bits ^ flips)
+    return BitVector(x.len, x.bits ^ rng.bernoulli_word(x.len, bsc.p))
 
 
 def quantize(q: Quantizer, w: float) -> int:

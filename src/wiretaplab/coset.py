@@ -24,16 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import Bsc
-from .gf2 import (
-    BitMatrix,
-    BitVector,
-    kernel_basis,
-    mat_vec_mul,
-    rank,
-    random_full_rank,
-    solve_affine,
-)
-from .gf2 import _rref  # internal elimination shared with the solver cache
+from .gf2 import BitMatrix, BitVector, eliminate, mat_vec_mul, random_full_rank
 from .infometrics import binary_entropy
 
 __all__ = [
@@ -123,6 +114,15 @@ def params_from_channel(n: int, p: float, p_w: float, epsilon: float) -> Wiretap
     return WiretapCodeParams(n, k_fine, k_coarse, k_fine - k_coarse, epsilon)
 
 
+def _check_enumeration_budget(code: "CosetCode") -> None:
+    """Fine-code enumeration packs words into uint64 and walks 2^k_fine of them."""
+    if code.n > 63 or code.k_fine > MAX_ENUM_K_FINE:
+        raise EnumerationBudgetError(
+            f"fine-code enumeration needs n <= 63 (uint64 packing) and k_fine <= "
+            f"{MAX_ENUM_K_FINE}; got n={code.n}, k_fine={code.k_fine}"
+        )
+
+
 class CosetCode:
     """Parity-check matrix plus syndrome layout; immutable after construction."""
 
@@ -133,7 +133,8 @@ class CosetCode:
             raise ValueError(
                 f"syndrome layout {zero_len}+{msg_len} != {h.rows} rows"
             )
-        if rank(h) != h.rows:
+        self._elimination = eliminate(h)
+        if self._elimination.rank != h.rows:
             raise ValueError("parity-check matrix must have full row rank")
         self.h = h
         self.zero_len = zero_len
@@ -187,27 +188,10 @@ class CosetCode:
         return hash((self.h, self.zero_len, self.msg_len))
 
     @cached_property
-    def _solver(self):
-        """Pivots and elimination-record rows for fast particular solutions."""
-        n = self.n
-        words = [w | (1 << (n + i)) for i, w in enumerate(self.h.row_words)]
-        pivots = _rref(words, n)
-        e_rows = [w >> n for w in words]
-        return pivots, e_rows
-
-    def _particular(self, target_bits: int) -> int:
-        pivots, e_rows = self._solver
-        x = 0
-        for i, pivot in enumerate(pivots):
-            if (e_rows[i] & target_bits).bit_count() & 1:
-                x |= 1 << pivot
-        return x
-
-    @cached_property
     def _subcode_words(self) -> np.ndarray:
         """All 2^k_coarse secrecy-subcode words, index = basis coefficients."""
         arr = np.zeros(1, dtype=np.uint64)
-        for vec in kernel_basis(self.h):
+        for vec in self._elimination.kernel:
             arr = np.concatenate([arr, arr ^ np.uint64(vec.bits)])
         return arr
 
@@ -216,18 +200,14 @@ class CosetCode:
         """Particular solution per message, index = message integer."""
         arr = np.zeros(1, dtype=np.uint64)
         for j in range(self.msg_len):
-            gen = self._particular(1 << (self.zero_len + j))
-            arr = np.concatenate([arr, arr ^ np.uint64(gen)])
+            gen = self._elimination.particular(self.syndrome_target(BitVector(self.msg_len, 1 << j)))
+            arr = np.concatenate([arr, arr ^ np.uint64(gen.bits)])
         return arr
 
     @cached_property
     def _fine_words(self) -> np.ndarray:
         """Fine-code words, flat index = message * 2^k_coarse + coset index."""
-        if self.k_fine > MAX_ENUM_K_FINE:
-            raise EnumerationBudgetError(
-                f"fine-code enumeration needs k_fine <= {MAX_ENUM_K_FINE}, "
-                f"got {self.k_fine}"
-            )
+        _check_enumeration_budget(self)
         flat = self._coset_leaders[:, None] ^ self._subcode_words[None, :]
         return flat.reshape(-1)
 
@@ -240,7 +220,7 @@ def random_coset_code(rng, params: WiretapCodeParams) -> CosetCode:
 
 def encode(code: CosetCode, s: BitVector, rng) -> BitVector:
     """Uniformly random codeword of the coset carrying message s."""
-    return solve_affine(code.h, code.syndrome_target(s), rng)
+    return code._elimination.solve(code.syndrome_target(s), rng)
 
 
 def _lex_key(word: int, n: int) -> tuple:
@@ -259,8 +239,6 @@ def decode_ml(code: CosetCode, y: BitVector, p: float) -> BitVector:
         raise ValueError(f"received length {y.len} != n = {code.n}")
     if not 0.0 <= p <= 0.5:
         raise ValueError(f"crossover probability out of [0, 1/2]: {p}")
-    if code.n > 63:
-        raise EnumerationBudgetError("enumeration packing requires n <= 63")
     words = code._fine_words
     dist = np.bitwise_count(words ^ np.uint64(y.bits))
     best = int(dist.min())
@@ -369,15 +347,9 @@ def monte_carlo_equivocation(
         raise ValueError("samples must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if code.k_fine > MAX_ENUM_K_FINE:
-        raise EnumerationBudgetError(
-            f"per-sample posterior needs k_fine <= {MAX_ENUM_K_FINE}, "
-            f"got {code.k_fine}"
-        )
+    _check_enumeration_budget(code)
     if code.k_msg == 0:
         raise ValueError("code carries no message bits")
-    if code.n > 63:
-        raise EnumerationBudgetError("enumeration packing requires n <= 63")
 
     leaders = code._coset_leaders
     subcode = code._subcode_words
@@ -392,9 +364,7 @@ def monte_carlo_equivocation(
         for _ in range(count):
             s = stream.next_bits(code.k_msg)
             x = int(leaders[s]) ^ int(subcode[stream.next_bits(code.k_coarse)])
-            noise = 0
-            for i in range(code.n):
-                noise |= stream.bernoulli(p) << i
+            noise = stream.bernoulli_word(code.n, p)
             per_sample[pos] = _posterior_entropy_bits(code, x ^ noise, p) / code.k_msg
             pos += 1
     mean = float(per_sample.mean())
@@ -426,10 +396,7 @@ def block_error_rate(code: CosetCode, main: Bsc, trials: int, rng) -> BlockError
     for _ in range(trials):
         s = BitVector(code.k_msg, rng.next_bits(code.k_msg))
         x = encode(code, s, rng)
-        noise = 0
-        for i in range(code.n):
-            noise |= rng.bernoulli(main.p) << i
-        y = BitVector(code.n, x.bits ^ noise)
+        y = BitVector(code.n, x.bits ^ rng.bernoulli_word(code.n, main.p))
         if decode_ml(code, y, main.p) != s:
             errors += 1
     estimate = errors / trials

@@ -9,12 +9,15 @@ desk-scale, no attempt at asymptotically fast multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "BitVector",
     "BitMatrix",
     "SingularMatrixError",
     "InconsistentSystemError",
+    "Elimination",
+    "eliminate",
     "mat_vec_mul",
     "mat_mul",
     "rank",
@@ -32,6 +35,15 @@ class SingularMatrixError(ValueError):
 
 class InconsistentSystemError(ValueError):
     """Raised when an affine system x @ h.T = target has no solution."""
+
+
+def _packed_from_hex(text: str, hexpart: str, nbits: int) -> int:
+    """The little-endian hex of a serialized field, which must pack nbits."""
+    raw = bytes.fromhex(hexpart)
+    if len(raw) != (nbits + 7) // 8 or int.from_bytes(raw, "little") >> nbits:
+        nbytes = (nbits + 7) // 8
+        raise ValueError(f"{text.strip()!r}: {nbits} bits need {nbytes} hex bytes, zero-padded")
+    return int.from_bytes(raw, "little")
 
 
 @dataclass(frozen=True)
@@ -97,8 +109,7 @@ class BitVector:
     def from_hex(cls, text: str) -> "BitVector":
         head, _, hexpart = text.strip().partition(":")
         n = int(head)
-        bits = int.from_bytes(bytes.fromhex(hexpart), "little")
-        return cls(n, bits)
+        return cls(n, _packed_from_hex(text, hexpart, n))
 
     def __repr__(self):
         return f"BitVector({''.join(str(b) for b in self.to_bits())})"
@@ -180,7 +191,7 @@ class BitMatrix:
         head, _, hexpart = text.strip().partition(":")
         rows_s, cols_s = head.split(",")
         rows, cols = int(rows_s), int(cols_s)
-        packed = int.from_bytes(bytes.fromhex(hexpart), "little")
+        packed = _packed_from_hex(text, hexpart, rows * cols)
         mask = (1 << cols) - 1
         words = tuple((packed >> (r * cols)) & mask for r in range(rows))
         return cls(rows, cols, words)
@@ -240,75 +251,88 @@ def _rref(words, cols):
     return pivots
 
 
+class Elimination:
+    """Gauss-Jordan elimination of h, kept so that one elimination serves
+    rank, inverse, kernel and every right-hand side.
+
+    ``record[i]``, kept in the high bits of the augmented rows, packs the rows
+    of h that XOR to reduced row i, so reduced row i of x @ h.T = target has
+    right-hand side parity(record[i] & target).
+    """
+
+    def __init__(self, h: BitMatrix):
+        n = self.cols = h.cols
+        words = [w | (1 << (n + i)) for i, w in enumerate(h.row_words)]
+        self.pivots = tuple(_rref(words, n))
+        self.rank = len(self.pivots)
+        self.reduced = tuple(w & ((1 << n) - 1) for w in words)
+        self.record = tuple(w >> n for w in words)
+
+    @cached_property
+    def kernel(self) -> tuple:
+        """Basis of {x : x @ h.T = 0}, one vector per free column in order."""
+        basis = []
+        for free in sorted(set(range(self.cols)) - set(self.pivots)):
+            v = 1 << free
+            for row, p in zip(self.reduced, self.pivots):
+                if (row >> free) & 1:
+                    v |= 1 << p
+            basis.append(BitVector(self.cols, v))
+        return tuple(basis)
+
+    def particular(self, target: BitVector) -> BitVector:
+        """The solution of x @ h.T = target with every free variable 0;
+        raises InconsistentSystemError when there is none."""
+        rows = len(self.record)
+        if target.len != rows:
+            raise ValueError(f"dimension mismatch: target len {target.len}, {rows} rows")
+        parities = [(rec & target.bits).bit_count() & 1 for rec in self.record]
+        if any(parities[self.rank:]):
+            raise InconsistentSystemError("target not in the row space of h")
+        x = sum(1 << p for p, bit in zip(self.pivots, parities) if bit)
+        return BitVector(self.cols, x)
+
+    def solve(self, target: BitVector, rng) -> BitVector:
+        """A uniformly random solution of x @ h.T = target: the particular
+        one XOR an rng-drawn combination of the kernel basis."""
+        x = self.particular(target).bits
+        coeffs = rng.next_bits(len(self.kernel))
+        for j, kv in enumerate(self.kernel):
+            if (coeffs >> j) & 1:
+                x ^= kv.bits
+        return BitVector(self.cols, x)
+
+
+def eliminate(h: BitMatrix) -> Elimination:
+    """Gauss-Jordan elimination of h with its row-operation record."""
+    return Elimination(h)
+
+
 def rank(m: BitMatrix) -> int:
     """GF(2) rank via elimination."""
-    words = list(m.row_words)
-    return len(_rref(words, m.cols))
+    return eliminate(m).rank
 
 
 def invert(m: BitMatrix) -> BitMatrix:
     """Inverse of a square matrix; raises SingularMatrixError if rank < n."""
     if m.rows != m.cols:
         raise ValueError(f"not square: {m.rows}x{m.cols}")
-    n = m.rows
-    # Augment each row with the identity in the high bits.
-    words = [w | (1 << (n + i)) for i, w in enumerate(m.row_words)]
-    pivots = _rref(words, n)
-    if len(pivots) < n:
-        raise SingularMatrixError(f"rank {len(pivots)} < {n}")
-    return BitMatrix(n, n, tuple(w >> n for w in words))
-
-
-def _kernel_from_rref(words, pivots, cols):
-    """Kernel basis vectors from a reduced system (one per free column)."""
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for i, p in enumerate(pivots):
-            if (words[i] >> free) & 1:
-                v |= 1 << p
-        basis.append(BitVector(cols, v))
-    return basis
+    e = eliminate(m)
+    if e.rank < m.rows:
+        raise SingularMatrixError(f"rank {e.rank} < {m.rows}")
+    # Full rank reduces m to the identity, so the record is the inverse.
+    return BitMatrix(m.rows, m.cols, e.record)
 
 
 def kernel_basis(h: BitMatrix) -> list:
     """Basis of {x : x @ h.T = 0}; size cols - rank(h)."""
-    words = list(h.row_words)
-    pivots = _rref(words, h.cols)
-    return _kernel_from_rref(words, pivots, h.cols)
+    return list(eliminate(h).kernel)
 
 
 def solve_affine(h: BitMatrix, target: BitVector, rng) -> BitVector:
-    """A uniformly random solution x of x @ h.T = target.
-
-    The particular solution (free variables pinned to 0) is XORed with an
-    rng-chosen combination of kernel basis vectors, so the draw is uniform
-    over the full solution coset and reproducible given the stream.
-    Raises InconsistentSystemError when no solution exists.
-    """
-    if target.len != h.rows:
-        raise ValueError(f"dimension mismatch: target len {target.len}, {h.rows} rows")
-    n = h.cols
-    # Augmented column holds the target bit per row.
-    words = [w | (((target.bits >> i) & 1) << n) for i, w in enumerate(h.row_words)]
-    pivots = _rref(words, n)
-    for i in range(len(pivots), h.rows):
-        if words[i] >> n:
-            raise InconsistentSystemError("target not in the row space of h")
-    x = 0
-    for i, p in enumerate(pivots):
-        if (words[i] >> n) & 1:
-            x |= 1 << p
-    basis = _kernel_from_rref(words, pivots, n)
-    if basis:
-        coeffs = rng.next_bits(len(basis))
-        for j, kv in enumerate(basis):
-            if (coeffs >> j) & 1:
-                x ^= kv.bits
-    return BitVector(n, x)
+    """A uniformly random solution x of x @ h.T = target, reproducible given
+    the stream; raises InconsistentSystemError when no solution exists."""
+    return eliminate(h).solve(target, rng)
 
 
 def random_full_rank(rng, rows: int, cols: int) -> BitMatrix:

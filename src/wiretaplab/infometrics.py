@@ -344,8 +344,14 @@ def quantizer_sweep(sigma_m_sq: float, sigma_w_sq: float, levels_list) -> list:
     """Per-L quantized information and loss, for uniform default-range grids.
 
     Returns (levels, i_x_zhat, loss) triples; callers append the L -> infinity
-    row from awgn_mutual_information themselves.
+    row from awgn_mutual_information themselves.  Level counts must be even.
     """
+    for levels in levels_list:
+        if levels % 2:
+            raise ValueError(
+                f"odd level count {levels}: an odd uniform quantizer has no threshold at 0, "
+                "so it does not refine the sign quantizer the loss is measured against"
+            )
     sigma_tot_sq = sigma_m_sq + sigma_w_sq
     p, p_w = crossover_probabilities(AwgnSplitChannel(sigma_m_sq, sigma_w_sq))
     half_range = default_half_range(sigma_tot_sq)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from .coset import CosetCode, decode_ml, encode
 from .gf2 import BitMatrix, BitVector, invert, mat_mul, mat_vec_mul, random_invertible
-from .prng import PrngStream, prng_stream
 
 __all__ = [
     "LpnParams",
@@ -41,8 +40,6 @@ __all__ = [
     "key_from_text",
     "ciphertext_to_text",
     "ciphertext_from_text",
-    "PrngStream",
-    "prng_stream",
 ]
 
 KEY_HEADER = "lpn-key v1:"
@@ -147,8 +144,14 @@ def keygen(rng, params: LpnParams) -> LpnKey:
 
 
 def _mask(key: LpnKey, u: BitVector) -> BitVector:
-    """u @ S, the keyed one-time mask selected by the public randomness."""
-    return mat_vec_mul(key.s_matrix.transpose(), u)
+    """u @ S, the keyed one-time mask: the XOR of the rows of S that u selects."""
+    if u.len != key.s_matrix.rows:
+        raise ValueError(f"mask input length {u.len} != {key.s_matrix.rows} rows of S")
+    mask = 0
+    for i, row in enumerate(key.s_matrix.row_words):
+        if (u.bits >> i) & 1:
+            mask ^= row
+    return BitVector(key.s_matrix.cols, mask)
 
 
 def encrypt(key: LpnKey, params: LpnParams, a: BitVector, rng) -> LpnCiphertext:
@@ -157,9 +160,7 @@ def encrypt(key: LpnKey, params: LpnParams, a: BitVector, rng) -> LpnCiphertext:
         raise ValueError(f"plaintext length {a.len} != l = {params.l}")
     r = BitVector(params.m - params.l, rng.next_bits(params.m - params.l))
     u = BitVector(params.k, rng.next_bits(params.k))
-    v_bits = 0
-    for i in range(params.n):
-        v_bits |= rng.bernoulli(params.p) << i
+    v_bits = rng.bernoulli_word(params.n, params.p)
     mixed = mat_vec_mul(key.mixing, a.concat(r))
     codeword = encode(key.code, mixed, rng)
     z = BitVector(params.n, codeword.bits ^ _mask(key, u).bits ^ v_bits)

@@ -11,6 +11,7 @@ draws so results are bit-identical across platforms.
 from __future__ import annotations
 
 import hashlib
+import struct
 from statistics import NormalDist
 
 __all__ = ["PrngStream", "prng_stream"]
@@ -28,33 +29,36 @@ class PrngStream:
         self._buffer = 0
         self._buffered = 0
 
-    def _refill(self):
-        block = hashlib.sha256(self._key + self._counter.to_bytes(8, "big")).digest()
-        self._counter += 1
-        self._buffer |= int.from_bytes(block, "little") << self._buffered
-        self._buffered += 256
-
     def next_bits(self, count: int) -> int:
         """The next `count` stream bits packed LSB-first into an int."""
         if count < 0:
             raise ValueError("negative bit count")
-        while self._buffered < count:
-            self._refill()
+        if self._buffered < count:
+            # One conversion for all missing blocks; ORing them in one by one is quadratic.
+            blocks = range(self._counter, self._counter + (count - self._buffered + 255) // 256)
+            self._counter = blocks.stop
+            raw = b"".join(hashlib.sha256(self._key + c.to_bytes(8, "big")).digest() for c in blocks)
+            self._buffer |= int.from_bytes(raw, "little") << self._buffered
+            self._buffered += 8 * len(raw)
         out = self._buffer & ((1 << count) - 1)
         self._buffer >>= count
         self._buffered -= count
         return out
 
     def bernoulli(self, p: float) -> int:
-        """One Bernoulli(p) draw via a 32-bit fixed-point threshold.
+        """One Bernoulli(p) draw; see bernoulli_word."""
+        return self.bernoulli_word(1, p)
 
-        The effective probability is round(p * 2**32) / 2**32, which keeps
-        the draw exactly reproducible across platforms.
-        """
+    def bernoulli_word(self, n: int, p: float) -> int:
+        """n Bernoulli(p) draws packed LSB-first: bit i is 1 when the i-th next
+        32-bit chunk is below round(p * 2**32), a fixed-point threshold that
+        keeps the draws exactly reproducible across platforms."""
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p out of range: {p}")
         threshold = round(p * 4294967296.0)
-        return 1 if self.next_bits(32) < threshold else 0
+        chunks = struct.iter_unpack("<I", self.next_bits(32 * n).to_bytes(4 * n, "little"))
+        flags = "".join("1" if c < threshold else "0" for (c,) in chunks)
+        return int(flags[::-1] or "0", 2)
 
     def gaussian(self) -> float:
         """One standard normal draw by inverse CDF on a 53-bit uniform."""

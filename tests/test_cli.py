@@ -178,6 +178,16 @@ def test_quantizer_sweep(tmp_path, capsys):
     assert again.read_bytes() == out_file.read_bytes()
 
 
+def test_quantizer_sweep_rejects_odd_levels(capsys):
+    code, out, err = run(
+        capsys, "quantizer-sweep", "--sigma-m-sq", "1", "--sigma-w-sq", "1",
+        "--levels", "2,3,4",
+    )
+    assert code == 1
+    assert out == ""
+    assert "odd level count 3" in err
+
+
 def test_lpn_pipeline_roundtrip(tmp_path, capsys):
     key = tmp_path / "key.txt"
     ct = tmp_path / "ct.txt"

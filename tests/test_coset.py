@@ -261,6 +261,18 @@ def test_decode_budget():
         decode_ml(code, BitVector.zeros(22), 0.1)
 
 
+@pytest.mark.parametrize("n", [64, 65])
+def test_enumeration_budget_rejects_unpackable_length(n):
+    # k_fine = 2 is within budget; n does not fit the uint64 word packing.
+    code = CosetCode(BitMatrix.identity(n), n - 2, 2)
+    with pytest.raises(EnumerationBudgetError, match=f"n={n}"):
+        code._fine_words
+    with pytest.raises(EnumerationBudgetError, match=f"n={n}"):
+        decode_ml(code, BitVector.zeros(n), 0.1)
+    with pytest.raises(EnumerationBudgetError, match=f"n={n}"):
+        monte_carlo_equivocation(code, Bsc(0.1), 10, _rng("budget-n"))
+
+
 # --- exact equivocation ------------------------------------------------------
 
 

@@ -1,4 +1,10 @@
+import re
+from functools import reduce
+from operator import xor
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretaplab.gf2 import (
     BitMatrix,
@@ -246,6 +252,22 @@ def test_bitmatrix_hex_roundtrip():
         assert BitMatrix.from_hex(m.to_hex()) == m
 
 
+def test_bitvector_hex_rejects_wrong_byte_count():
+    with pytest.raises(ValueError, match=re.escape("'16:ff'")):
+        BitVector.from_hex("16:ff")
+    with pytest.raises(ValueError, match=re.escape("'4:0b00'")):
+        BitVector.from_hex("4:0b00")
+
+
+def test_bitmatrix_hex_rejects_wrong_byte_count_and_padding():
+    with pytest.raises(ValueError, match=re.escape("'2,2:0fff'")):
+        BitMatrix.from_hex("2,2:0fff")
+    with pytest.raises(ValueError, match=re.escape("'2,5:0f'")):
+        BitMatrix.from_hex("2,5:0f")
+    with pytest.raises(ValueError, match="zero-padded"):
+        BitMatrix.from_hex("2,2:ff")
+
+
 def test_bitvector_rejects_padding():
     with pytest.raises(ValueError):
         BitVector(2, 0b100)
@@ -258,3 +280,79 @@ def test_bitvector_concat_slice():
     assert c.to_bits() == [1, 0, 1, 1, 0]
     assert c.slice(0, 2) == a
     assert c.slice(2, 5) == b
+
+
+# --- properties against a rank computed apart from gf2's elimination ----------
+
+
+def _span_rank(words):
+    """Rank of packed vectors by greedy insertion into a leading-bit basis."""
+    basis = {}
+    for w in words:
+        while w:
+            top = w.bit_length() - 1
+            if top not in basis:
+                basis[top] = w
+                break
+            w ^= basis[top]
+    return len(basis)
+
+
+def _columns(h):
+    return [
+        sum(((w >> c) & 1) << r for r, w in enumerate(h.row_words)) for c in range(h.cols)
+    ]
+
+
+@st.composite
+def _matrices(draw, max_rows=10, max_cols=64):
+    """Rows are XORs of a few generators, so rank-deficient systems are common."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    gens = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=1, max_size=rows))
+    picks = draw(
+        st.lists(st.integers(0, (1 << len(gens)) - 1), min_size=rows, max_size=rows)
+    )
+    words = [reduce(xor, (g for j, g in enumerate(gens) if (pick >> j) & 1), 0) for pick in picks]
+    return BitMatrix.from_row_words(words, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=_matrices(), data=st.data())
+def test_solve_affine_property(h, data):
+    if data.draw(st.booleans()):
+        x = BitVector(h.cols, data.draw(st.integers(0, (1 << h.cols) - 1)))
+        target = mat_vec_mul(h, x)
+    else:
+        target = BitVector(h.rows, data.draw(st.integers(0, (1 << h.rows) - 1)))
+    columns = _columns(h)
+    solvable = _span_rank(columns + [target.bits]) == _span_rank(columns)
+    if solvable:
+        assert mat_vec_mul(h, solve_affine(h, target, _rng("prop-solve"))) == target
+    else:
+        with pytest.raises(InconsistentSystemError):
+            solve_affine(h, target, _rng("prop-solve"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=_matrices())
+def test_rank_nullity_property(h):
+    basis = kernel_basis(h)
+    assert rank(h) == _span_rank(h.row_words)
+    assert rank(h) + len(basis) == h.cols
+    assert _span_rank([v.bits for v in basis]) == len(basis)
+    for v in basis:
+        assert mat_vec_mul(h, v) == BitVector.zeros(h.rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_invert_property(data):
+    n = data.draw(st.integers(1, 24))
+    words = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    m = BitMatrix.from_row_words(words, n)
+    if _span_rank(words) == n:
+        assert mat_mul(invert(m), m) == BitMatrix.identity(n)
+    else:
+        with pytest.raises(SingularMatrixError):
+            invert(m)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from wiretaplab.channels import Quantizer, default_half_range, uniform_quantizer
+from wiretaplab import infometrics
 from wiretaplab.infometrics import (
     DiscreteChannelSpec,
     QuadratureError,
@@ -317,3 +318,13 @@ def test_quantizer_sweep_rows():
         assert loss >= last
         last = loss
     assert abs(rows[-1][2] - LOSS_UNIT) < 1e-3
+
+
+def test_quantizer_sweep_rejects_odd_levels_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        infometrics, "quantized_mutual_information", lambda *a: calls.append(a) or 0.5
+    )
+    with pytest.raises(ValueError, match="odd level count 3: .*no threshold at 0"):
+        quantizer_sweep(1.0, 1.0, [2, 4, 3])
+    assert calls == []

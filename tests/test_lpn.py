@@ -35,6 +35,9 @@ class _ZeroRng:
     def bernoulli(self, p):
         return 0
 
+    def bernoulli_word(self, n, p):
+        return 0
+
 
 def _replay_draws(params, seed_label):
     """Re-derive (r, u, v) for one encrypt call from the same stream."""
@@ -228,6 +231,25 @@ def _replay_draws_after_message(params, label):
     for i in range(params.n):
         v |= rng.bernoulli(params.p) << i
     return r, u, BitVector(params.n, v), rng
+
+
+def test_ciphertext_from_text_rejects_short_z():
+    params = toy_params()
+    key = keygen(_rng("short-z"), params)
+    ct = encrypt(key, params, BitVector.from_bits([1, 0, 1, 0]), _rng("short-z-msg"))
+    header, z_line, u_line = ciphertext_to_text(ct).splitlines()
+    with pytest.raises(ValueError, match=z_line[:-2]):
+        ciphertext_from_text(f"{header}\n{z_line[:-2]}\n{u_line}\n")
+
+
+def test_encrypt_rejects_mask_shape_mismatch():
+    params = toy_params()
+    real = keygen(_rng("mask-shape"), params)
+    short_s = LpnKey(
+        BitMatrix.zeros(params.k - 1, params.n), real.mixing, real.mixing_inv, real.code
+    )
+    with pytest.raises(ValueError, match="rows of S"):
+        encrypt(short_s, params, BitVector.zeros(params.l), _rng("mask-shape-msg"))
 
 
 def test_decrypt_rejects_wrong_lengths():

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wiretaplab.prng import prng_stream
+from wiretaplab.prng import PrngStream, prng_stream
 
 SEED = b"prng-test-seed-01"
 
@@ -80,3 +82,51 @@ def test_gaussian_moments():
     var = sum((x - mean) ** 2 for x in xs) / (n - 1)
     assert abs(mean) < 4 / n**0.5
     assert abs(var - 1.0) < 0.06
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead=st.integers(0, 600), n=st.integers(0, 300), p=st.floats(0.0, 1.0))
+def test_bernoulli_word_matches_single_draws(lead, n, p):
+    word_rng = prng_stream(SEED, "word")
+    single_rng = prng_stream(SEED, "word")
+    word_rng.next_bits(lead)
+    single_rng.next_bits(lead)
+    word = word_rng.bernoulli_word(n, p)
+    threshold = round(p * 2**32)
+    assert word == sum((single_rng.next_bits(32) < threshold) << i for i in range(n))
+    assert word_rng.next_bits(64) == single_rng.next_bits(64)
+    assert [word_rng.bernoulli(p) for _ in range(n)] == [
+        int(single_rng.next_bits(32) < threshold) for _ in range(n)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead=st.integers(0, 600), a=st.integers(0, 600), b=st.integers(0, 600))
+def test_next_bits_split(lead, a, b):
+    whole = prng_stream(SEED, "split")
+    parts = prng_stream(SEED, "split")
+    whole.next_bits(lead)
+    parts.next_bits(lead)
+    assert whole.next_bits(a + b) == parts.next_bits(a) | (parts.next_bits(b) << a)
+    assert whole.next_bits(64) == parts.next_bits(64)
+
+
+class _Chunks(PrngStream):
+    """Stream whose 32-bit draws are the given values, in order."""
+
+    def __init__(self, values):
+        super().__init__(b"")
+        self._values = list(values)
+
+    def next_bits(self, count):
+        drawn, self._values = self._values[: count // 32], self._values[count // 32 :]
+        return sum(v << (32 * i) for i, v in enumerate(drawn))
+
+
+def test_bernoulli_threshold_boundary():
+    # Draws one below, at and one above round(p * 2**32): only the first is a 1.
+    threshold = round(0.25 * 2**32)
+    draws = (threshold - 1, threshold, threshold + 1)
+    assert _Chunks(draws).bernoulli_word(3, 0.25) == 0b001
+    single = _Chunks(draws)
+    assert [single.bernoulli(0.25) for _ in draws] == [1, 0, 0]
