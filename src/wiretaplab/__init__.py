@@ -11,6 +11,7 @@ from .channels import (
     crossover_probabilities,
     default_half_range,
     degrading_channel,
+    normal_cdf,
     quantize,
     transmit,
     uniform_quantizer,
@@ -36,8 +37,10 @@ from .coset import (
 from .gf2 import (
     BitMatrix,
     BitVector,
+    Elimination,
     InconsistentSystemError,
     SingularMatrixError,
+    eliminate,
     invert,
     kernel_basis,
     mat_mul,
@@ -50,14 +53,11 @@ from .gf2 import (
 from .infometrics import (
     DiscreteChannelSpec,
     LossCurvePoint,
-    QuadratureError,
     awgn_mutual_information,
     binary_entropy,
     equivocation_loss,
     loss_curve,
     max_equivocation_loss,
-    mixture_density,
-    mixture_entropy,
     mutual_information_discrete,
     quantized_mutual_information,
     quantizer_sweep,

@@ -31,6 +31,13 @@ __all__ = [
 ]
 
 
+def _check_variance(name: str, value: float, positive: bool = False) -> None:
+    """Reject a variance that is not finite, or is negative (zero too if positive)."""
+    bound = "> 0" if positive else ">= 0"
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+
+
 def normal_cdf(x: float) -> float:
     """Standard normal CDF."""
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
@@ -48,10 +55,8 @@ class AwgnSplitChannel:
     sigma_w_sq: float
 
     def __post_init__(self):
-        if self.sigma_m_sq < 0:
-            raise ValueError("sigma_m_sq must be >= 0")
-        if self.sigma_w_sq < 0:
-            raise ValueError("sigma_w_sq must be >= 0")
+        _check_variance("sigma_m_sq", self.sigma_m_sq)
+        _check_variance("sigma_w_sq", self.sigma_w_sq)
 
 
 @dataclass(frozen=True)
@@ -166,9 +171,10 @@ def uniform_quantizer(levels: int, half_range: float) -> Quantizer:
         raise ValueError("half_range must be > 0")
     if levels == 2:
         return Quantizer((0.0,))
-    n_thresh = levels - 1
-    step = 2.0 * half_range / (n_thresh - 1)
-    return Quantizer(tuple(-half_range + i * step for i in range(n_thresh)))
+    # Integer numerators make the middle threshold of an even L exactly 0 and
+    # t[i] == -t[-1 - i] exactly, so an even-L quantizer refines the sign one.
+    span = levels - 2
+    return Quantizer(tuple(half_range * (2 * i - span) / span for i in range(levels - 1)))
 
 
 def default_half_range(sigma_tot_sq: float) -> float:

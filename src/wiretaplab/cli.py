@@ -4,7 +4,8 @@ Every stochastic subcommand takes an explicit --seed (hex, at least 16 bytes);
 there is no ambient randomness, so a command line reproduces its output
 byte for byte.  Data goes to stdout or the --out file, diagnostics to stderr,
 exit status 0 only on success.  Options may also come from a --config file of
-key=value lines (flag beats file beats default).
+key=value lines (flag beats file beats default); a key that is not a value
+option of the subcommand is an error.
 """
 
 from __future__ import annotations
@@ -72,7 +73,14 @@ def _parse_grid(spec: str) -> list:
     return [float(v) for v in spec.split(",")]
 
 
-def _load_config(path: str) -> dict:
+# Parsed fields that no key=value line can set: the subcommand's bookkeeping,
+# the config path itself, its positional action and flags that take no value.
+_NOT_CONFIG_KEYS = {"command", "handler", "config", "lpn_action", "example1"}
+
+
+def _load_config(path: str, args) -> dict:
+    """key=value lines; every key must be a value option of the subcommand."""
+    known = {dest.replace("_", "-") for dest in vars(args) if dest not in _NOT_CONFIG_KEYS}
     values = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -82,7 +90,13 @@ def _load_config(path: str) -> dict:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"bad config line (want key=value): {line!r}")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in known:
+                raise ValueError(
+                    f"unknown config key {key!r} in {path} for {args.command} "
+                    f"(known: {', '.join(sorted(known))})"
+                )
+            values[key] = value.strip()
     return values
 
 
@@ -290,7 +304,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.config_values = _load_config(args.config) if args.config else None
+        args.config_values = _load_config(args.config, args) if args.config else None
         return args.handler(args)
     except Exception as exc:  # diagnostics to stderr, data stream stays clean
         print(f"wiretaplab: error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ from wiretaplab.channels import (
     bsc_concatenate,
     bsc_transmit,
     crossover_probabilities,
+    default_half_range,
     degrading_channel,
     quantize,
     transmit,
@@ -53,6 +54,14 @@ def test_crossover_monotone_in_wiretap_noise():
         assert abs(p - P_UNIT) < 1e-12  # main leg unaffected
         assert p_w > last
         last = p_w
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_awgn_split_channel_rejects_non_finite_or_negative(bad):
+    with pytest.raises(ValueError, match=f"sigma_m_sq must be finite and >= 0, got {bad!r}"):
+        AwgnSplitChannel(bad, 1.0)
+    with pytest.raises(ValueError, match=f"sigma_w_sq must be finite and >= 0, got {bad!r}"):
+        AwgnSplitChannel(1.0, bad)
 
 
 def test_bsc_concatenate_identity_and_absorbing():
@@ -176,6 +185,15 @@ def test_uniform_quantizer_sign_case():
 def test_uniform_quantizer_endpoints():
     assert uniform_quantizer(4, 2.0).thresholds == (-2.0, 0.0, 2.0)
     assert uniform_quantizer(3, 1.0).thresholds == (-1.0, 1.0)
+
+
+def test_uniform_quantizer_even_levels_exact_zero_and_symmetric():
+    for variance in (0.06, 0.1, 0.5, 1.0, 2.0, 2.5, 5.0, 10.0, 50.0):
+        half_range = default_half_range(variance)
+        for levels in range(4, 257, 2):
+            t = uniform_quantizer(levels, half_range).thresholds
+            assert t[(levels - 2) // 2] == 0.0, (variance, levels)
+            assert all(t[i] == -t[levels - 2 - i] for i in range(levels - 1)), (variance, levels)
 
 
 def test_uniform_quantizer_rejects_bad_args():

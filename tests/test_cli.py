@@ -47,6 +47,20 @@ def test_capacity_missing_inputs(capsys):
     assert "error" in err
 
 
+def test_non_finite_variances_rejected_with_field_named(capsys):
+    code, out, err = run(capsys, "capacity", "--sigma-m-sq", "nan", "--sigma-w-sq", "1")
+    assert (code, out) == (1, "")
+    assert "sigma_m_sq must be finite and >= 0, got nan" in err
+    code, out, err = run(capsys, "loss-curve", "--sigma-m-sq", "1", "--grid", "nan")
+    assert (code, out) == (1, "")
+    assert "sigma_w_sq must be finite and > 0, got nan" in err
+    code, out, err = run(
+        capsys, "quantizer-sweep", "--sigma-m-sq", "1", "--sigma-w-sq", "inf", "--levels", "2"
+    )
+    assert (code, out) == (1, "")
+    assert "sigma_w_sq must be finite and >= 0, got inf" in err
+
+
 def test_loss_curve_file(tmp_path, capsys):
     out_file = tmp_path / "curve.csv"
     code, out, err = run(
@@ -273,6 +287,19 @@ def test_config_file_precedence(tmp_path, capsys):
     assert overridden != from_cfg
     p_w = float(overridden.strip().splitlines()[1].split(",")[1])
     assert abs(p_w - 0.28185143082538655) < 1e-12  # Phi(-1/sqrt(3))
+
+
+def test_config_unknown_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sigma_m_sq=1\nsigma-w-sq=1\n")
+    code, out, err = run(capsys, "capacity", "--config", str(cfg), "--sigma-m-sq", "1")
+    assert (code, out) == (1, "")
+    assert "unknown config key 'sigma_m_sq'" in err
+    # A flag that takes no value cannot come from the file either.
+    cfg.write_text("example1=1\np-w=0.25\n")
+    code, out, err = run(capsys, "equivocation", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert "unknown config key 'example1'" in err
 
 
 def test_bad_mode_rejected(capsys):

@@ -1,19 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 
 from wiretaplab.channels import Quantizer, default_half_range, uniform_quantizer
 from wiretaplab import infometrics
 from wiretaplab.infometrics import (
     DiscreteChannelSpec,
-    QuadratureError,
     awgn_mutual_information,
     binary_entropy,
     equivocation_loss,
     loss_curve,
     max_equivocation_loss,
-    mixture_density,
-    mixture_entropy,
     mutual_information_discrete,
     quantized_mutual_information,
     quantizer_sweep,
@@ -25,9 +23,21 @@ from wiretaplab.prng import prng_stream
 P_UNIT = 0.15865525393145707  # Phi(-1)
 P_W_UNIT = 0.23975006109347674  # Phi(-1/sqrt(2))
 
-# I(X;W) at total variance 2, frozen from an independent adaptive
-# Gauss-Kronrod integration of the mixture-entropy integral.
-I_XW_VAR2 = 0.29048011336081725
+# I(X;W) = 1 - E[log2(1 + exp(-2Y/s2))], Y ~ N(1, s2), by scipy.integrate.quad
+# over t = (Y - 1)/sqrt(s2) on [-40, 40], split at Y = 0, with epsabs=1e-15 and
+# epsrel=1e-13.
+I_XW_REFERENCE = {
+    0.03: 0.9999999829745585,
+    0.06: 0.9999048834365716,
+    0.1: 0.9967563279900297,
+    0.3: 0.872413519841534,
+    1.0: 0.48594415413293535,
+    2.0: 0.2904801133608479,
+    8.0: 0.08494340579418302,
+    50.0: 0.014284558300406536,
+    1e4: 7.213114554716071e-05,
+}
+I_XW_VAR2 = I_XW_REFERENCE[2.0]
 LOSS_UNIT = 0.5203843722844566
 
 
@@ -120,29 +130,12 @@ def test_search_noiseless_main_useless_wiretap():
     assert abs(dist[1] - 0.5) < 2e-3
 
 
-def test_mixture_density_symmetry():
-    rng = _rng("mix-sym")
-    for _ in range(100):
-        w = (rng.next_bits(20) / (1 << 20)) * 10 - 5
-        assert mixture_density(2.0, w) == pytest.approx(mixture_density(2.0, -w), abs=1e-15)
-
-
-def test_mixture_density_center_value():
-    # Both mixture terms equal the standard normal density at 1.
-    assert abs(mixture_density(1.0, 0.0) - 0.24197072451914337) < 1e-15
-
-
-def test_mixture_density_normalizes():
-    from wiretaplab.infometrics import _integrate
-
-    for s2 in (0.5, 2.0, 9.0):
-        sigma = math.sqrt(s2)
-        top = 1 + 8 * sigma
-        total = sum(
-            _integrate(lambda w: mixture_density(s2, w), lo, hi, 2.5e-10)
-            for lo, hi in ((-top, -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, top))
-        )
-        assert abs(total - 1.0) < 1e-9
+def _mixture_log_density(s2, w):
+    """Natural log of the density of W = X + N(0, s2) for uniform X on {-1, +1}."""
+    sigma = math.sqrt(s2)
+    a = -0.5 * ((w + 1.0) / sigma) ** 2
+    b = -0.5 * ((w - 1.0) / sigma) ** 2
+    return float(np.logaddexp(a, b)) - math.log(2.0 * sigma * math.sqrt(2.0 * math.pi))
 
 
 def test_awgn_mi_limits():
@@ -151,7 +144,7 @@ def test_awgn_mi_limits():
 
 
 def test_awgn_mi_variance_two():
-    assert abs(awgn_mutual_information(2.0) - I_XW_VAR2) < 1e-8
+    assert abs(awgn_mutual_information(2.0) - I_XW_VAR2) < 1e-13
     assert 0.28 < awgn_mutual_information(2.0) < 0.30
 
 
@@ -164,7 +157,7 @@ def test_awgn_mi_monte_carlo_cross_check():
     for _ in range(n):
         x = 1.0 if rng.next_bits(1) else -1.0
         w = x + math.sqrt(s2) * rng.gaussian()
-        values.append(-math.log2(mixture_density(s2, w)))
+        values.append(-_mixture_log_density(s2, w) / math.log(2.0))
     mean = sum(values) / n
     sem = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1) / n)
     mc_mi = mean - 0.5 * math.log2(2 * math.pi * math.e * s2)
@@ -178,10 +171,47 @@ def test_awgn_mi_tolerance_self_consistency():
     ) < tol
 
 
-def test_quadrature_depth_exhaustion_reports_estimate():
-    with pytest.raises(QuadratureError) as info:
-        mixture_entropy(2.0, tol=1e-300)
-    assert math.isfinite(info.value.estimate)
+@pytest.mark.parametrize("s2", sorted(I_XW_REFERENCE))
+def test_awgn_mi_matches_reference_table(s2):
+    assert abs(awgn_mutual_information(s2) - I_XW_REFERENCE[s2]) < 1e-13
+
+
+def test_awgn_mi_matches_scipy_entropy_integral():
+    # A second identity, I = h(W) - h(W|X), integrated by scipy over w.
+    integrate = pytest.importorskip("scipy.integrate")
+    for s2 in np.geomspace(1e-3, 1e5, 25):
+        s2 = float(s2)
+        top = 1.0 + 40.0 * math.sqrt(s2)
+
+        def neg_f_log_f(w):
+            log_f = _mixture_log_density(s2, w)
+            return -math.exp(log_f) * log_f
+
+        h_w, _ = integrate.quad(
+            neg_f_log_f, -top, top, points=[-1.0, 0.0, 1.0], epsabs=1e-15, epsrel=1e-13, limit=1000
+        )
+        reference = (h_w - 0.5 * math.log(2.0 * math.pi * math.e * s2)) / math.log(2.0)
+        assert abs(awgn_mutual_information(s2) - reference) < 1e-13, s2
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+def test_awgn_mi_meets_tolerance(tol):
+    for s2, reference in I_XW_REFERENCE.items():
+        assert abs(awgn_mutual_information(s2, tol) - reference) <= tol
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, -1e-9, 2.0, math.nan])
+def test_awgn_mi_rejects_tolerance_outside_unit_interval(tol):
+    with pytest.raises(ValueError, match="tol must be in"):
+        awgn_mutual_information(2.0, tol)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_mi_rejects_bad_total_variance(bad):
+    with pytest.raises(ValueError, match=f"sigma_tot_sq must be finite and > 0, got {bad!r}"):
+        awgn_mutual_information(bad)
+    with pytest.raises(ValueError, match=f"sigma_tot_sq must be finite and > 0, got {bad!r}"):
+        quantized_mutual_information(bad, Quantizer((0.0,)))
 
 
 def test_quantized_mi_sign_recovers_bsc():
