@@ -106,7 +106,12 @@ def _resolve(args, name: str, cast=None, required: bool = False, default=None):
     if value is None and args.config_values is not None:
         raw = args.config_values.get(name)
         if raw is not None:
-            value = cast(raw) if cast else raw
+            try:
+                value = cast(raw) if cast else raw
+            except ValueError as exc:
+                raise ValueError(
+                    f"config key {name!r} in {args.config}: bad value {raw!r} ({exc})"
+                ) from exc
     if value is None:
         value = default
     if value is None and required:
@@ -272,7 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p-w", type=float, help="wiretap crossover probability")
     sp.add_argument("--mode", choices=("exact", "mc"))
     sp.add_argument("--samples", type=int)
-    sp.add_argument("--workers", type=int)
+    sp.add_argument(
+        "--workers",
+        type=int,
+        help="split the samples into this many per-worker substreams of the seed, "
+        "a reproducible sample layout; all run in this process (default: 1)",
+    )
     sp.add_argument("--seed", help="hex seed (required for mc mode)")
     add_common(sp)
     sp.set_defaults(handler=_cmd_equivocation)

@@ -125,6 +125,24 @@ def test_equivocation_mc_deterministic(capsys):
     assert out3 == out4
 
 
+def test_equivocation_mc_pinned_stdout(capsys):
+    # Frozen from the per-sample posterior that the batched one replaced: the
+    # stdout of this command line before the weight table and batches went in.
+    # The per-sample entropy of this code is constant, so the workers=3 layout
+    # prints the same row.
+    expected = (
+        "equivocation,rate,error_prob,method,stderr\n"
+        "0.95443400292496483,0.5,nan,monte-carlo,9.9400816696758631e-18\n"
+    )
+    argv = (
+        "equivocation", "--example1", "--p-w", "0.25", "--mode", "mc",
+        "--samples", "500", "--seed", SEED,
+    )
+    for extra in ((), ("--workers", "3")):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out, err) == (0, expected, "")
+
+
 def test_equivocation_mc_requires_seed(capsys):
     code, out, err = run(
         capsys, "equivocation", "--example1", "--p-w", "0.25", "--mode", "mc"
@@ -300,6 +318,21 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     code, out, err = run(capsys, "equivocation", "--config", str(cfg))
     assert (code, out) == (1, "")
     assert "unknown config key 'example1'" in err
+
+
+def test_config_bad_value_names_key_and_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sigma-m-sq=abc\nsigma-w-sq=1\n")
+    code, out, err = run(capsys, "capacity", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert "'sigma-m-sq'" in err and "'abc'" in err and str(cfg) in err
+    cfg.write_text("samples=1e3\n")
+    code, out, err = run(
+        capsys, "equivocation", "--example1", "--p-w", "0.25", "--mode", "mc",
+        "--seed", SEED, "--config", str(cfg),
+    )
+    assert (code, out) == (1, "")
+    assert "'samples'" in err and "'1e3'" in err and str(cfg) in err
 
 
 def test_bad_mode_rejected(capsys):

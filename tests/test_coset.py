@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretaplab.channels import Bsc
 from wiretaplab.coset import (
@@ -18,6 +21,7 @@ from wiretaplab.coset import (
     params_from_channel,
     random_coset_code,
     uncoded_code,
+    _posterior_entropy_bits,
 )
 from wiretaplab.gf2 import BitMatrix, BitVector, rank
 from wiretaplab.infometrics import binary_entropy
@@ -95,6 +99,28 @@ def _brute_force_equivocation(code, p):
                 h_z -= post * math.log2(post)
         total += p_z * h_z
     return total / k_m
+
+
+def _loop_posterior_entropy_bits(code, z_bits, p):
+    """H(S | Z = z) for one output, one p**d per fine-code word: the form the
+    batched posterior replaced, kept as its reference."""
+    words = code._fine_words
+    d = np.bitwise_count(words ^ np.uint64(z_bits)).astype(float)
+    likelihood = p**d * (1.0 - p) ** (code.n - d)
+    per_message = likelihood.reshape(1 << code.k_msg, 1 << code.k_coarse).sum(axis=1)
+    posterior = per_message / per_message.sum()
+    nz = posterior[posterior > 0]
+    return -float((nz * np.log2(nz)).sum())
+
+
+@st.composite
+def _small_codes(draw, max_n=12):
+    """Random coset codes with n <= max_n and at least one message bit."""
+    n = draw(st.integers(1, max_n))
+    k_fine = draw(st.integers(1, n))
+    k_coarse = draw(st.integers(0, k_fine - 1))
+    params = WiretapCodeParams(n, k_fine, k_coarse, k_fine - k_coarse, 0.01)
+    return random_coset_code(_rng(f"prop-code-{draw(st.integers(0, 2**32))}"), params)
 
 
 # --- params_from_channel -----------------------------------------------------
@@ -381,6 +407,65 @@ def test_monte_carlo_deterministic_per_worker_count():
         a = monte_carlo_equivocation(code, Bsc(0.2), 600, _rng("mc-seed"), workers=workers)
         b = monte_carlo_equivocation(code, Bsc(0.2), 600, _rng("mc-seed"), workers=workers)
         assert a == b
+
+
+# Seeded rows frozen from the per-sample posterior that the batched one
+# replaced: each string is `report.to_csv_row()` of the call beside it, printed
+# by the loop implementation (p**d over the fine code per sample) before the
+# weight table and batches went in.  Any change to the draws, their order or
+# the posterior arithmetic moves a digit here.
+P_W_PIN = 0.23975006109347674
+
+
+def test_monte_carlo_pinned_rows():
+    k16 = _random_code("pin-k16", 24, 16, 8)
+    report = monte_carlo_equivocation(k16, Bsc(P_W_PIN), 600, _rng("pin-k16-mc"))
+    assert report.to_csv_row() == (
+        "0.95781489924588903,0.33333333333333331,nan,monte-carlo,0.00061245593404597753"
+    )
+    k8 = _random_code("pin-k8", 24, 8, 4)
+    for workers, row in (
+        (1, "0.62562973362076602,0.16666666666666666,nan,monte-carlo,0.0099478266216045143"),
+        (3, "0.61870870785199106,0.16666666666666666,nan,monte-carlo,0.010305653864042983"),
+    ):
+        report = monte_carlo_equivocation(
+            k8, Bsc(P_W_PIN), 400, _rng("pin-k8-mc"), workers=workers
+        )
+        assert report.to_csv_row() == row
+    for p, row in (
+        (0.25, "0.95443400292496472,0.5,nan,monte-carlo,1.0537770608914911e-17"),
+        (0.0, "0,0.5,nan,monte-carlo,0"),
+    ):
+        report = monte_carlo_equivocation(example1_code(), Bsc(p), 1000, _rng("pin-ex1-mc"))
+        assert report.to_csv_row() == row
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    code=_small_codes(),
+    p=st.sampled_from([0.0, 1e-300, 0.01, 0.2, 0.5]),
+    data=st.data(),
+)
+def test_batched_posterior_equals_loop_reference(code, p, data):
+    # 0.0 and 1e-300 give posteriors with zero entries (1e-300 by underflow),
+    # which take the per-row fallback.
+    rows = data.draw(st.lists(st.integers(0, (1 << code.n) - 1), min_size=1, max_size=300))
+    d = np.arange(code.n + 1, dtype=float)
+    table = p**d * (1.0 - p) ** (code.n - d)
+    with np.errstate(invalid="ignore"):  # 0/0 rows when every likelihood underflows
+        batched = _posterior_entropy_bits(code, np.array(rows, dtype=np.uint64), table)
+        reference = [_loop_posterior_entropy_bits(code, z, p) for z in rows]
+    assert batched.tolist() == reference
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(code=_small_codes(), p=st.floats(0.05, 0.45))
+def test_monte_carlo_within_four_stderr_of_exact(code, p):
+    exact = exact_equivocation(code, Bsc(p)).equivocation
+    report = monte_carlo_equivocation(code, Bsc(p), 2000, _rng("prop-mc"))
+    # A code whose per-sample entropy is constant has a stderr at float-noise
+    # level; the 1e-12 floor covers the summation error of the two methods.
+    assert abs(report.equivocation - exact) <= 4 * report.stderr + 1e-12
 
 
 def test_monte_carlo_budget_and_validation():
