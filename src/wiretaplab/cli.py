@@ -3,9 +3,12 @@
 Every stochastic subcommand takes an explicit --seed (hex, at least 16 bytes);
 there is no ambient randomness, so a command line reproduces its output
 byte for byte.  Data goes to stdout or the --out file, diagnostics to stderr,
-exit status 0 only on success.  Options may also come from a --config file of
-key=value lines (flag beats file beats default); a key that is not a value
-option of the subcommand is an error.
+exit status 0 only on success.  Each option is declared once on the parser,
+with its type, choices and default.  A --config file of key=value lines, keyed
+by the long option name, sets the same options: each value passes the option's
+type and choices and becomes the subcommand's default, so a flag beats the file
+and the file beats the default.  A bad flag value exits 2 through argparse; a
+bad value or unknown key in the file exits 1 with the key and the file named.
 """
 
 from __future__ import annotations
@@ -73,50 +76,65 @@ def _parse_grid(spec: str) -> list:
     return [float(v) for v in spec.split(",")]
 
 
-# Parsed fields that no key=value line can set: the subcommand's bookkeeping,
-# the config path itself, its positional action and flags that take no value.
-_NOT_CONFIG_KEYS = {"command", "handler", "config", "lpn_action", "example1"}
+def _parse_levels(spec: str) -> list:
+    return [int(v) for v in spec.split(",")]
 
 
-def _load_config(path: str, args) -> dict:
-    """key=value lines; every key must be a value option of the subcommand."""
-    known = {dest.replace("_", "-") for dest in vars(args) if dest not in _NOT_CONFIG_KEYS}
-    values = {}
+def _load_config(path: str, sp: argparse.ArgumentParser) -> None:
+    """Make key=value lines the defaults of the subcommand's value options.
+
+    Each value is cast and checked here: argparse checks no choices on a
+    default, and a string default that fails its type would exit 2 without
+    naming the file.
+    """
+    options = {
+        action.option_strings[0][2:]: action
+        for action in sp._actions
+        if action.option_strings and action.nargs != 0 and action.dest != "config"
+    }
+    defaults = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, sep, value = line.partition("=")
+            key, sep, raw = line.partition("=")
             if not sep:
                 raise ValueError(f"bad config line (want key=value): {line!r}")
-            key = key.strip()
-            if key not in known:
+            key, raw = key.strip(), raw.strip()
+            action = options.get(key)
+            if action is None:
                 raise ValueError(
-                    f"unknown config key {key!r} in {path} for {args.command} "
-                    f"(known: {', '.join(sorted(known))})"
+                    f"unknown config key {key!r} in {path} for {sp.prog} "
+                    f"(known: {', '.join(sorted(options))})"
                 )
-            values[key] = value.strip()
-    return values
-
-
-def _resolve(args, name: str, cast=None, required: bool = False, default=None):
-    """Flag > config file > default; argparse stores unset flags as None."""
-    value = getattr(args, name.replace("-", "_"))
-    if value is None and args.config_values is not None:
-        raw = args.config_values.get(name)
-        if raw is not None:
             try:
-                value = cast(raw) if cast else raw
+                value = action.type(raw) if action.type else raw
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"choose from {', '.join(action.choices)}")
             except ValueError as exc:
                 raise ValueError(
-                    f"config key {name!r} in {args.config}: bad value {raw!r} ({exc})"
+                    f"config key {key!r} in {path}: bad value {raw!r} ({exc})"
                 ) from exc
+            defaults[action.dest] = value
+    sp.set_defaults(**defaults)
+
+
+def _required(args, name: str):
+    value = getattr(args, name.replace("-", "_"))
     if value is None:
-        value = default
-    if value is None and required:
         raise ValueError(f"missing required option --{name}")
     return value
+
+
+def _read(path: str, parse):
+    """Parse a file's text; a parse error names the file."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _emit(text: str, out_path):
@@ -128,80 +146,63 @@ def _emit(text: str, out_path):
 
 
 def _cmd_capacity(args) -> int:
-    sigma_m_sq = _resolve(args, "sigma-m-sq", float)
-    sigma_w_sq = _resolve(args, "sigma-w-sq", float)
-    p = _resolve(args, "override-p", float)
-    p_w = _resolve(args, "override-p-w", float)
+    p, p_w = args.override_p, args.override_p_w
     if p is None or p_w is None:
-        if sigma_m_sq is None or sigma_w_sq is None:
+        if args.sigma_m_sq is None or args.sigma_w_sq is None:
             raise ValueError(
                 "need --sigma-m-sq and --sigma-w-sq (or both --override-p "
                 "and --override-p-w)"
             )
-        ch_p, ch_p_w = crossover_probabilities(AwgnSplitChannel(sigma_m_sq, sigma_w_sq))
+        ch_p, ch_p_w = crossover_probabilities(AwgnSplitChannel(args.sigma_m_sq, args.sigma_w_sq))
         p = ch_p if p is None else p
         p_w = ch_p_w if p_w is None else p_w
     c_s = secrecy_capacity_bsc(p, p_w)
     row = ",".join(_fmt(v) for v in (p, p_w, binary_entropy(p), binary_entropy(p_w), c_s))
-    _emit(f"{CAPACITY_HEADER}\n{row}\n", _resolve(args, "out"))
+    _emit(f"{CAPACITY_HEADER}\n{row}\n", args.out)
     return 0
 
 
 def _cmd_loss_curve(args) -> int:
-    sigma_m_sq = _resolve(args, "sigma-m-sq", float, required=True)
-    grid = _parse_grid(_resolve(args, "grid", str, required=True))
-    points = loss_curve(sigma_m_sq, grid)
+    points = loss_curve(_required(args, "sigma-m-sq"), _required(args, "grid"))
     lines = [LOSS_CURVE_HEADER]
     for pt in points:
         lines.append(
             ",".join(_fmt(v) for v in (pt.sigma_w_sq, pt.p, pt.p_w, pt.i_xw, pt.loss))
         )
-    _emit("\n".join(lines) + "\n", _resolve(args, "out"))
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_equivocation(args) -> int:
-    p_w = _resolve(args, "p-w", float, required=True)
+    p_w = _required(args, "p-w")
     if args.example1:
         code = example1_code()
+    elif args.code_file is not None:
+        code = _read(args.code_file, code_from_text)
     else:
-        code_file = _resolve(args, "code-file", str)
-        if code_file is None:
-            raise ValueError("need --example1 or --code-file")
-        with open(code_file, encoding="utf-8") as fh:
-            code = code_from_text(fh.read())
-    mode = _resolve(args, "mode", str, default="exact")
-    if mode == "exact":
+        raise ValueError("need --example1 or --code-file")
+    if args.mode == "exact":
         report = exact_equivocation(code, Bsc(p_w))
-    elif mode == "mc":
-        seed = _resolve(args, "seed", str, required=True)
-        samples = _resolve(args, "samples", int, default=10000)
-        workers = _resolve(args, "workers", int, default=1)
-        report = monte_carlo_equivocation(
-            code, Bsc(p_w), samples, _parse_seed(seed), workers=workers
-        )
     else:
-        raise ValueError(f"unknown mode {mode!r} (want exact or mc)")
-    _emit(
-        f"{EQUIVOCATION_CSV_HEADER}\n{report.to_csv_row()}\n",
-        _resolve(args, "out"),
-    )
+        seed = _parse_seed(_required(args, "seed"))
+        report = monte_carlo_equivocation(
+            code, Bsc(p_w), args.samples, seed, workers=args.workers
+        )
+    _emit(f"{EQUIVOCATION_CSV_HEADER}\n{report.to_csv_row()}\n", args.out)
     return 0
 
 
 def _cmd_quantizer_sweep(args) -> int:
-    sigma_m_sq = _resolve(args, "sigma-m-sq", float, required=True)
-    sigma_w_sq = _resolve(args, "sigma-w-sq", float, required=True)
-    levels_spec = _resolve(args, "levels", str, required=True)
-    levels = [int(v) for v in levels_spec.split(",")]
-    rows = quantizer_sweep(sigma_m_sq, sigma_w_sq, levels)
+    sigma_m_sq = _required(args, "sigma-m-sq")
+    sigma_w_sq = _required(args, "sigma-w-sq")
+    rows = quantizer_sweep(sigma_m_sq, sigma_w_sq, _required(args, "levels"))
     p, p_w = crossover_probabilities(AwgnSplitChannel(sigma_m_sq, sigma_w_sq))
     i_inf = awgn_mutual_information(sigma_m_sq + sigma_w_sq)
     lines = [SWEEP_HEADER]
     for lvl, i_hat, loss in rows:
         lines.append(f"{lvl},{_fmt(i_hat)},{_fmt(loss)}")
     lines.append(f"inf,{_fmt(i_inf)},{_fmt(equivocation_loss(p, p_w, i_inf))}")
-    _emit("\n".join(lines) + "\n", _resolve(args, "out"))
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -210,40 +211,26 @@ def _parse_lpn_params(spec: str) -> LpnParams:
     return LpnParams(int(l), int(m), int(k), int(n), float(p))
 
 
-def _read_key(args):
-    path = _resolve(args, "key", str, required=True)
-    with open(path, encoding="utf-8") as fh:
-        return key_from_text(fh.read())
-
-
 def _cmd_lpn(args) -> int:
-    action = args.lpn_action
-    if action == "keygen":
-        params = _parse_lpn_params(_resolve(args, "params", str, required=True))
-        seed = _resolve(args, "seed", str, required=True)
-        key = keygen(_parse_seed(seed), params)
-        _emit(key_to_text(key, params), _resolve(args, "out"))
+    if args.lpn_action == "keygen":
+        params = _parse_lpn_params(_required(args, "params"))
+        key = keygen(_parse_seed(_required(args, "seed")), params)
+        _emit(key_to_text(key, params), args.out)
         return 0
-    if action == "encrypt":
-        key, params = _read_key(args)
-        seed = _resolve(args, "seed", str, required=True)
-        message_hex = _resolve(args, "message", str, required=True)
-        bits = int.from_bytes(bytes.fromhex(message_hex), "little")
+    key, params = _read(_required(args, "key"), key_from_text)
+    if args.lpn_action == "encrypt":
+        seed = _required(args, "seed")
+        bits = int.from_bytes(bytes.fromhex(_required(args, "message")), "little")
         if bits >> params.l:
             raise ValueError(f"message does not fit in {params.l} bits")
         ct = encrypt(key, params, BitVector(params.l, bits), _parse_seed(seed))
-        _emit(ciphertext_to_text(ct), _resolve(args, "out"))
+        _emit(ciphertext_to_text(ct), args.out)
         return 0
-    if action == "decrypt":
-        key, params = _read_key(args)
-        ct_path = _resolve(args, "ct", str, required=True)
-        with open(ct_path, encoding="utf-8") as fh:
-            ct = ciphertext_from_text(fh.read())
-        plain = decrypt(key, params, ct)
-        nbytes = (params.l + 7) // 8
-        _emit(plain.bits.to_bytes(nbytes, "little").hex() + "\n", _resolve(args, "out"))
-        return 0
-    raise ValueError(f"unknown lpn action {action!r}")
+    ct = _read(_required(args, "ct"), ciphertext_from_text)
+    plain = decrypt(key, params, ct)
+    nbytes = (params.l + 7) // 8
+    _emit(plain.bits.to_bytes(nbytes, "little").hex() + "\n", args.out)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("loss-curve", help="max equivocation loss over a wiretap-variance grid")
     sp.add_argument("--sigma-m-sq", type=float)
-    sp.add_argument("--grid", help="lo:hi:count or comma list of variances")
+    sp.add_argument("--grid", type=_parse_grid, help="lo:hi:count or comma list of variances")
     add_common(sp)
     sp.set_defaults(handler=_cmd_loss_curve)
 
@@ -275,13 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--example1", action="store_true", help="use the built-in length-2 code")
     sp.add_argument("--code-file", help="code file (header + hex matrix)")
     sp.add_argument("--p-w", type=float, help="wiretap crossover probability")
-    sp.add_argument("--mode", choices=("exact", "mc"))
-    sp.add_argument("--samples", type=int)
+    sp.add_argument("--mode", choices=("exact", "mc"), default="exact")
+    sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument(
         "--workers",
         type=int,
+        default=1,
         help="split the samples into this many per-worker substreams of the seed, "
-        "a reproducible sample layout; all run in this process (default: 1)",
+        "a reproducible sample layout; all run in this process (default: %(default)s)",
     )
     sp.add_argument("--seed", help="hex seed (required for mc mode)")
     add_common(sp)
@@ -290,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("quantizer-sweep", help="eavesdropper information and loss per A/D level count")
     sp.add_argument("--sigma-m-sq", type=float)
     sp.add_argument("--sigma-w-sq", type=float)
-    sp.add_argument("--levels", help="comma list of level counts (each >= 2)")
+    sp.add_argument(
+        "--levels", type=_parse_levels, help="comma list of level counts (each >= 2)"
+    )
     add_common(sp)
     sp.set_defaults(handler=_cmd_quantizer_sweep)
 
@@ -314,7 +304,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.config_values = _load_config(args.config, args) if args.config else None
+        if args.config:
+            subparsers = next(a for a in parser._actions if a.dest == "command")
+            _load_config(args.config, subparsers.choices[args.command])
+            args = parser.parse_args(argv)
         return args.handler(args)
     except Exception as exc:  # diagnostics to stderr, data stream stays clean
         print(f"wiretaplab: error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coset import CosetCode, decode_ml, encode
+from .coset import CosetCode, code_from_text, code_to_text, decode_ml, encode
 from .gf2 import BitMatrix, BitVector, invert, mat_mul, mat_vec_mul, random_invertible
 
 __all__ = [
@@ -178,13 +178,12 @@ def decrypt(key: LpnKey, params: LpnParams, ct: LpnCiphertext) -> BitVector:
 
 
 def key_to_text(key: LpnKey, params: LpnParams) -> str:
-    """Key file: header with params, then S, M, code header, code matrix."""
+    """Key file: header with params, then S, M and the code as `code_to_text` writes it."""
     return (
         f"{KEY_HEADER} {params.l},{params.m},{params.k},{params.n},{params.p!r}\n"
         f"{key.s_matrix.to_hex()}\n"
         f"{key.mixing.to_hex()}\n"
-        f"{key.code.n},{key.code.k_fine},{key.code.k_coarse}\n"
-        f"{key.code.h.to_hex()}\n"
+        f"{code_to_text(key.code)}"
     )
 
 
@@ -197,11 +196,7 @@ def key_from_text(text: str) -> tuple:
     params = LpnParams(int(l), int(m), int(k), int(n), float(p))
     s_matrix = BitMatrix.from_hex(lines[1])
     mixing = BitMatrix.from_hex(lines[2])
-    code_n, code_k_fine, code_k_coarse = (int(v) for v in lines[3].split(","))
-    h = BitMatrix.from_hex(lines[4])
-    code = CosetCode(
-        h, zero_len=code_n - code_k_fine, msg_len=code_k_fine - code_k_coarse
-    )
+    code = code_from_text("\n".join(lines[3:]))
     if s_matrix.rows != params.k or s_matrix.cols != params.n:
         raise ValueError("S shape inconsistent with params")
     if mixing.rows != params.m or mixing.cols != params.m:

@@ -333,6 +333,17 @@ def test_config_bad_value_names_key_and_file(tmp_path, capsys):
     )
     assert (code, out) == (1, "")
     assert "'samples'" in err and "'1e3'" in err and str(cfg) in err
+    # List and choice values pass the option's own type and choices.
+    for command, line in (
+        ("loss-curve", "grid=1,abc"),
+        ("quantizer-sweep", "levels=2,x"),
+        ("equivocation", "mode=bogus"),
+    ):
+        key, value = line.split("=")
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert (code, out) == (1, ""), line
+        assert f"'{key}'" in err and f"'{value}'" in err and str(cfg) in err
 
 
 def test_bad_mode_rejected(capsys):
@@ -340,3 +351,74 @@ def test_bad_mode_rejected(capsys):
         capsys, "equivocation", "--example1", "--p-w", "0.25", "--mode", "bogus"
     )
     assert code == 2  # argparse rejects the choice
+
+
+def test_bad_list_flag_names_option(capsys):
+    code, out, err = run(
+        capsys, "quantizer-sweep", "--sigma-m-sq", "1", "--sigma-w-sq", "1",
+        "--levels", "2,x",
+    )
+    assert (code, out) == (2, "")
+    assert "--levels" in err
+    code, out, err = run(capsys, "loss-curve", "--sigma-m-sq", "1", "--grid", "1,abc")
+    assert (code, out) == (2, "")
+    assert "--grid" in err
+
+
+def test_config_list_and_out_match_flags(tmp_path, capsys):
+    flags_out = tmp_path / "flags.csv"
+    cfg_out = tmp_path / "cfg.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sigma-m-sq=1\nsigma-w-sq=1\nlevels=2,4\nout={cfg_out}\n")
+    assert run(capsys, "quantizer-sweep", "--config", str(cfg)) == (0, "", "")
+    assert run(
+        capsys, "quantizer-sweep", "--sigma-m-sq", "1", "--sigma-w-sq", "1",
+        "--levels", "2,4", "--out", str(flags_out),
+    ) == (0, "", "")
+    assert cfg_out.read_bytes() == flags_out.read_bytes()
+
+
+def test_config_mc_options_match_flags(tmp_path, capsys):
+    from wiretaplab.coset import code_to_text, random_coset_code, WiretapCodeParams
+    from wiretaplab.prng import prng_stream
+
+    code_path = tmp_path / "code.txt"
+    code_path.write_text(code_to_text(random_coset_code(
+        prng_stream(b"cli-config-mc-01"), WiretapCodeParams(10, 6, 3, 3, 0.01)
+    )))
+    base = ("equivocation", "--code-file", str(code_path), "--p-w", "0.2")
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text(f"mode=mc\nsamples=300\nseed={SEED}\n")
+    from_cfg = run(capsys, *base, "--config", str(cfg))
+    from_flags = run(capsys, *base, "--mode", "mc", "--samples", "300", "--seed", SEED)
+    assert from_cfg == from_flags
+    assert from_cfg[0] == 0
+    # A flag on top of the file beats it.
+    overridden = run(capsys, *base, "--config", str(cfg), "--samples", "500")
+    assert overridden == run(
+        capsys, *base, "--mode", "mc", "--samples", "500", "--seed", SEED
+    )
+    assert overridden[1] != from_cfg[1]
+
+
+def test_file_parse_errors_name_the_file(tmp_path, capsys):
+    key = tmp_path / "key.txt"
+    ct = tmp_path / "ct.txt"
+    run(capsys, "lpn", "keygen", "--params", "4,8,16,28,0.05", "--seed", SEED,
+        "--out", str(key))
+    run(capsys, "lpn", "encrypt", "--key", str(key), "--message", "0b",
+        "--seed", SEED, "--out", str(ct))
+    bad_code = tmp_path / "code.txt"
+    bad_code.write_text("2,1\n2,2:09\n")
+    bad_key = tmp_path / "bad-key.txt"
+    bad_key.write_text(key.read_text().replace("lpn-key v1: 4,8,16,28,", "lpn-key v1: 4,8,"))
+    bad_ct = tmp_path / "bad-ct.txt"
+    bad_ct.write_text(ct.read_text().replace("lpn-ct v1: 28,16", "lpn-ct v1: 28"))
+    for path, argv in (
+        (bad_code, ("equivocation", "--code-file", str(bad_code), "--p-w", "0.2")),
+        (bad_key, ("lpn", "decrypt", "--key", str(bad_key), "--ct", str(ct))),
+        (bad_ct, ("lpn", "decrypt", "--key", str(key), "--ct", str(bad_ct))),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), path
+        assert f"error: {path}: " in err

@@ -311,6 +311,11 @@ def test_key_file_rejects_corruption():
     swapped[0] = "lpn-key v1: 4,8,16,35,0.05"
     with pytest.raises(ValueError):
         key_from_text("\n".join(swapped))
+    # The code header must match its matrix, as in a code file.
+    assert lines[3] == "28,16,8"
+    bad_code = lines[:3] + ["99,87,79"] + lines[4:]
+    with pytest.raises(ValueError, match="inconsistent with header"):
+        key_from_text("\n".join(bad_code))
 
 
 def test_ciphertext_file_roundtrip():
