@@ -62,22 +62,33 @@ def _parse_seed(text: str):
     return prng_stream(seed)
 
 
+def _number(text: str, cast):
+    """cast(text); a failure says why, and argparse prints it after the option."""
+    try:
+        return cast(text)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise argparse.ArgumentTypeError(f"{text!r} is not {kind}") from None
+
+
 def _parse_grid(spec: str) -> list:
     """Either 'lo:hi:count' (inclusive linear grid) or a comma list."""
     if ":" in spec:
-        lo_s, hi_s, count_s = spec.split(":")
-        lo, hi, count = float(lo_s), float(hi_s), int(count_s)
+        fields = spec.split(":")
+        if len(fields) != 3:
+            raise argparse.ArgumentTypeError(f"expected lo:hi:count, got {spec!r}")
+        lo, hi, count = _number(fields[0], float), _number(fields[1], float), _number(fields[2], int)
         if count < 1:
-            raise ValueError("grid count must be >= 1")
+            raise argparse.ArgumentTypeError("grid count must be >= 1")
         if count == 1:
             return [lo]
         step = (hi - lo) / (count - 1)
         return [lo + i * step for i in range(count)]
-    return [float(v) for v in spec.split(",")]
+    return [_number(v, float) for v in spec.split(",")]
 
 
 def _parse_levels(spec: str) -> list:
-    return [int(v) for v in spec.split(",")]
+    return [_number(v, int) for v in spec.split(",")]
 
 
 def _load_config(path: str, sp: argparse.ArgumentParser) -> None:
@@ -112,7 +123,7 @@ def _load_config(path: str, sp: argparse.ArgumentParser) -> None:
                 value = action.type(raw) if action.type else raw
                 if action.choices is not None and value not in action.choices:
                     raise ValueError(f"choose from {', '.join(action.choices)}")
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(
                     f"config key {key!r} in {path}: bad value {raw!r} ({exc})"
                 ) from exc
@@ -207,8 +218,14 @@ def _cmd_quantizer_sweep(args) -> int:
 
 
 def _parse_lpn_params(spec: str) -> LpnParams:
-    l, m, k, n, p = spec.split(",")
-    return LpnParams(int(l), int(m), int(k), int(n), float(p))
+    fields = spec.split(",")
+    if len(fields) != 5:
+        raise ValueError(f"--params {spec!r}: expected l,m,k,n,p, got {len(fields)} values")
+    l, m, k, n, p = fields
+    try:
+        return LpnParams(int(l), int(m), int(k), int(n), float(p))
+    except ValueError as exc:
+        raise ValueError(f"--params {spec!r}: {exc}") from exc
 
 
 def _cmd_lpn(args) -> int:
@@ -220,9 +237,13 @@ def _cmd_lpn(args) -> int:
     key, params = _read(_required(args, "key"), key_from_text)
     if args.lpn_action == "encrypt":
         seed = _required(args, "seed")
-        bits = int.from_bytes(bytes.fromhex(_required(args, "message")), "little")
+        text = _required(args, "message")
+        try:
+            bits = int.from_bytes(bytes.fromhex(text), "little")
+        except ValueError as exc:
+            raise ValueError(f"--message {text!r}: not hex bytes ({exc})") from exc
         if bits >> params.l:
-            raise ValueError(f"message does not fit in {params.l} bits")
+            raise ValueError(f"--message {text!r}: message does not fit in {params.l} bits")
         ct = encrypt(key, params, BitVector(params.l, bits), _parse_seed(seed))
         _emit(ciphertext_to_text(ct), args.out)
         return 0

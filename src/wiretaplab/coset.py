@@ -14,6 +14,13 @@ codewords.  The Monte Carlo estimator samples outputs and evaluates the same
 posterior by direct enumeration of the fine code, over bounded batches of
 samples: the likelihood of each fine-code word is read from a table of the
 n + 1 BSC weights p^d (1-p)^(n-d), built once per call.
+
+Bob's ML decoder is syndrome decoding: a table of minimal-weight coset
+leaders of the fine code, indexed by the zero-block syndrome and built once
+per code, turns each decode into one lookup.  A code whose table would hold
+more syndromes than the fine code has words, or would need more than
+MAX_LEADER_PATTERNS error patterns to fill, decodes by enumerating the fine
+code instead.
 """
 
 from __future__ import annotations
@@ -52,6 +59,9 @@ __all__ = [
 # classes n times; decoding and per-sample posteriors walk 2^k_fine codewords.
 MAX_EXACT_N = 24
 MAX_ENUM_K_FINE = 20
+# Coset-leader table budget: error patterns enumerated (by weight) to fill the
+# syndrome table; past it, decoding falls back to enumerating the fine code.
+MAX_LEADER_PATTERNS = 1 << 16
 
 # Word budget of one Monte Carlo posterior batch: 2^14 >> k_fine samples, or
 # one sample when the fine code alone fills it, so a batch holds at most
@@ -220,6 +230,12 @@ class CosetCode:
         flat = self._coset_leaders[:, None] ^ self._subcode_words[None, :]
         return flat.reshape(-1)
 
+    @cached_property
+    def _leader_table(self) -> _LeaderTable | None:
+        """Fine-code coset leaders by zero-block syndrome; None past the budget."""
+        _check_enumeration_budget(self)
+        return _build_leader_table(self)
+
 
 def random_coset_code(rng, params: WiretapCodeParams) -> CosetCode:
     """Random full-rank parity-check matrix realizing the given dimensions."""
@@ -237,23 +253,99 @@ def _lex_key(word: int, n: int) -> tuple:
     return tuple((word >> i) & 1 for i in range(n))
 
 
+def _parity_word(rows, x: int) -> int:
+    """Bit i = parity(rows[i] & x): a block of the syndrome of the word x."""
+    out = 0
+    for i, row in enumerate(rows):
+        out |= ((row & x).bit_count() & 1) << i
+    return out
+
+
+class _LeaderTable(NamedTuple):
+    """Minimal-weight error patterns of the fine code, by zero-block syndrome."""
+
+    leaders: np.ndarray  # one minimal-weight pattern per syndrome (uint64)
+    ties: dict  # syndrome -> every minimal-weight pattern, where there are several
+    radius: int  # covering radius: the largest leader weight
+
+
+def _build_leader_table(code: CosetCode) -> _LeaderTable | None:
+    """Enumerate error patterns weight by weight until every syndrome is reached.
+
+    A level of weight w + 1 extends each weight-w pattern by one bit above its
+    highest set bit, so patterns are kept sorted by that bit and each
+    extension is a prefix.  Returns None when the table would hold more
+    syndromes than the fine code has words, or when the next level would take
+    the pattern count past MAX_LEADER_PATTERNS.
+    """
+    size = 1 << code.zero_len
+    if code.zero_len > code.k_fine or size > MAX_LEADER_PATTERNS:
+        return None
+    cols = [col & (size - 1) for col in code.h.transpose().row_words]
+    words = np.zeros(1, dtype=np.uint64)
+    syndromes = np.zeros(1, dtype=np.int32)
+    tops = np.full(1, -1, dtype=np.int8)  # highest set bit of each pattern
+    leaders = np.zeros(size, dtype=np.uint64)
+    reached = np.zeros(size, dtype=bool)
+    ties = {}
+    weight = enumerated = 0
+    while True:
+        fresh = ~reached[syndromes]
+        if fresh.any():
+            found_syn = syndromes[fresh]
+            order = np.argsort(found_syn, kind="stable")
+            found_syn, found = found_syn[order], words[fresh][order]
+            syn, first, counts = np.unique(found_syn, return_index=True, return_counts=True)
+            leaders[syn] = found[first]
+            reached[syn] = True
+            for i in np.flatnonzero(counts > 1):
+                ties[int(syn[i])] = tuple(int(e) for e in found[first[i] : first[i] + counts[i]])
+        if reached.all():
+            return _LeaderTable(leaders, ties, weight)
+        weight += 1
+        enumerated += len(words)
+        if enumerated + math.comb(code.n, weight) > MAX_LEADER_PATTERNS:
+            return None
+        ends = np.searchsorted(tops, np.arange(code.n))
+        words = np.concatenate(
+            [words[:end] | np.uint64(1 << b) for b, end in enumerate(ends)]
+        )
+        syndromes = np.concatenate(
+            [syndromes[:end] ^ np.int32(cols[b]) for b, end in enumerate(ends)]
+        )
+        tops = np.repeat(np.arange(code.n, dtype=np.int8), ends)
+
+
 def decode_ml(code: CosetCode, y: BitVector, p: float) -> BitVector:
     """Maximum-likelihood message for a BSC(p) observation y.
 
-    Enumerates the fine code, picks the codeword nearest to y in Hamming
-    distance (ML for p < 1/2) and returns the message block of its syndrome;
-    ties go to the lexicographically smallest codeword.
+    Finds the codeword nearest to y in Hamming distance (ML for p < 1/2) and
+    returns the message block of its syndrome; ties go to the
+    lexicographically smallest codeword.  The nearest codewords are y ^ e for
+    the minimal-weight error patterns e sharing y's zero-block syndrome, so
+    one lookup in the code's coset-leader table finds them.  A code outside
+    the table's budget (see `_build_leader_table`) enumerates the fine code.
     """
     if y.len != code.n:
         raise ValueError(f"received length {y.len} != n = {code.n}")
     if not 0.0 <= p <= 0.5:
         raise ValueError(f"crossover probability out of [0, 1/2]: {p}")
-    words = code._fine_words
-    dist = np.bitwise_count(words ^ np.uint64(y.bits))
-    best = int(dist.min())
-    candidates = np.flatnonzero(dist == best)
-    idx = min(candidates, key=lambda i: _lex_key(int(words[i]), code.n))
-    return BitVector(code.k_msg, int(idx) >> code.k_coarse)
+    _check_enumeration_budget(code)
+    table = code._leader_table
+    if table is None:
+        words = code._fine_words
+        dist = np.bitwise_count(words ^ np.uint64(y.bits))
+        candidates = np.flatnonzero(dist == dist.min())
+        idx = min(candidates, key=lambda i: _lex_key(int(words[i]), code.n))
+        return BitVector(code.k_msg, int(idx) >> code.k_coarse)
+    rows = code.h.row_words
+    syndrome = _parity_word(rows[: code.zero_len], y.bits)
+    tied = table.ties.get(syndrome)
+    if tied is None:
+        word = y.bits ^ int(table.leaders[syndrome])
+    else:
+        word = min((y.bits ^ e for e in tied), key=lambda w: _lex_key(w, code.n))
+    return BitVector(code.k_msg, _parity_word(rows[code.zero_len :], word))
 
 
 @dataclass(frozen=True)

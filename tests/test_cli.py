@@ -365,6 +365,53 @@ def test_bad_list_flag_names_option(capsys):
     assert "--grid" in err
 
 
+def test_bad_list_flag_gives_reason(tmp_path, capsys):
+    commands = {
+        "--grid": ("loss-curve", "--sigma-m-sq", "1"),
+        "--levels": ("quantizer-sweep", "--sigma-m-sq", "1", "--sigma-w-sq", "1"),
+    }
+    for option, value, reason in (
+        ("--grid", "1:2:0", "grid count must be >= 1"),
+        ("--grid", "1:2", "expected lo:hi:count"),
+        ("--grid", "0.5:x:4", "'x' is not a number"),
+        ("--levels", "2,x", "'x' is not an integer"),
+    ):
+        code, out, err = run(capsys, *commands[option], option, value)
+        assert (code, out) == (2, ""), value
+        assert f"argument {option}: {reason}" in err, err
+        assert "_parse" not in err
+    # The same value from a config file still names the key and the file.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid=1:2:0\n")
+    code, out, err = run(capsys, "loss-curve", "--sigma-m-sq", "1", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert f"config key 'grid' in {cfg}: bad value '1:2:0' (grid count must be >= 1)" in err
+
+
+def test_lpn_params_errors_name_the_option(capsys):
+    for spec, reason in (
+        ("4,8", "expected l,m,k,n,p, got 2 values"),
+        ("4,8,16,28,abc", "could not convert string to float: 'abc'"),
+        ("4,8,16,28,0.7", "noise rate out of (0, 1/2): 0.7"),
+    ):
+        code, out, err = run(capsys, "lpn", "keygen", "--params", spec, "--seed", SEED)
+        assert (code, out) == (1, ""), spec
+        assert f"--params '{spec}': {reason}" in err, err
+
+
+def test_lpn_message_errors_name_the_option(tmp_path, capsys):
+    key = tmp_path / "key.txt"
+    run(capsys, "lpn", "keygen", "--params", "4,8,16,28,0.05", "--seed", SEED,
+        "--out", str(key))
+    for message in ("zz", "1"):
+        code, out, err = run(
+            capsys, "lpn", "encrypt", "--key", str(key), "--message", message,
+            "--seed", SEED,
+        )
+        assert (code, out) == (1, ""), message
+        assert f"--message '{message}': not hex bytes" in err, err
+
+
 def test_config_list_and_out_match_flags(tmp_path, capsys):
     flags_out = tmp_path / "flags.csv"
     cfg_out = tmp_path / "cfg.csv"

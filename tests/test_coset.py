@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wiretaplab import coset
 from wiretaplab.channels import Bsc
 from wiretaplab.coset import (
     CosetCode,
@@ -21,10 +22,12 @@ from wiretaplab.coset import (
     params_from_channel,
     random_coset_code,
     uncoded_code,
+    _lex_key,
     _posterior_entropy_bits,
 )
 from wiretaplab.gf2 import BitMatrix, BitVector, rank
 from wiretaplab.infometrics import binary_entropy
+from wiretaplab.lpn import registered_code
 from wiretaplab.prng import prng_stream
 
 P_UNIT = 0.15865525393145707
@@ -111,6 +114,24 @@ def _loop_posterior_entropy_bits(code, z_bits, p):
     posterior = per_message / per_message.sum()
     nz = posterior[posterior > 0]
     return -float((nz * np.log2(nz)).sum())
+
+
+def _enum_decode_ml(code, y, p):
+    """Nearest fine-code word by a scan of all 2^k_fine of them, ties to the
+    lexicographically smallest: the decoder the coset-leader table replaced,
+    kept as its reference."""
+    words = code._fine_words
+    dist = np.bitwise_count(words ^ np.uint64(y.bits))
+    candidates = np.flatnonzero(dist == dist.min())
+    idx = min(candidates, key=lambda i: _lex_key(int(words[i]), code.n))
+    return BitVector(code.k_msg, int(idx) >> code.k_coarse)
+
+
+# Even-weight fine code in length 3 (message bit x1 xor x2): every nonzero
+# syndrome has three tied leaders.
+TIE_CODE = CosetCode(BitMatrix.from_rows([[1, 1, 1], [0, 1, 1]]), zero_len=1, msg_len=1)
+# zero_len = 3 > k_fine = 1: more syndromes than fine-code words, no table.
+NO_TABLE_CODE = CosetCode(BitMatrix.identity(4), zero_len=3, msg_len=1)
 
 
 @st.composite
@@ -279,6 +300,47 @@ def test_decode_tie_breaks_lexicographically():
     assert decode_ml(code, BitVector.from_bits([0, 0, 1]), 0.1).bits == 0
     # y = 010 ties 000, 011, 110; lexicographically smallest is 000.
     assert decode_ml(code, BitVector.from_bits([0, 1, 0]), 0.1).bits == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    code=_small_codes(),
+    words=st.lists(st.integers(0, 2**12 - 1), min_size=1, max_size=40),
+    p=st.sampled_from([0.0, 0.05, 0.5]),
+)
+@example(code=TIE_CODE, words=list(range(8)), p=0.1)
+@example(code=NO_TABLE_CODE, words=list(range(16)), p=0.1)
+def test_table_decode_equals_enumeration(code, words, p):
+    # _small_codes draws zero_len on both sides of k_fine, so codes with and
+    # without a table, and tables with tied syndromes, all come up.
+    for bits in words:
+        y = BitVector(code.n, bits & ((1 << code.n) - 1))
+        assert decode_ml(code, y, p) == _enum_decode_ml(code, y, p)
+
+
+def test_leader_table_rule():
+    lpn_table = registered_code(28, 8)._leader_table
+    assert (len(lpn_table.leaders), lpn_table.radius, lpn_table.ties) == (4096, 4, {})
+    k16 = _random_code("table-k16", 24, 16, 8)._leader_table
+    assert (len(k16.leaders), k16.radius) == (256, 3)
+    assert k16.ties  # tied syndromes: decoding takes the lexicographic rule
+    assert TIE_CODE._leader_table.ties == {1: (1, 2, 4)}
+    # The paper's (24, 8, 4) code has 2^16 syndromes for 2^8 fine-code words.
+    assert _random_code("table-k8", 24, 8, 4)._leader_table is None
+    assert NO_TABLE_CODE._leader_table is None
+
+
+def test_decode_past_pattern_budget_enumerates(monkeypatch):
+    # Patterns of weight <= 2 in length 10: a radius-2 code fills its table
+    # within the budget, and a radius-3 code would pass it at weight 3.
+    monkeypatch.setattr(coset, "MAX_LEADER_PATTERNS", 1 + 10 + 45)
+    within, past = (_random_code(f"table-budget-{i}", 10, 6, 2) for i in (0, 1))
+    assert within._leader_table.radius == 2
+    assert past._leader_table is None
+    for code in (within, past):
+        for bits in range(1 << code.n):
+            y = BitVector(code.n, bits)
+            assert decode_ml(code, y, 0.1) == _enum_decode_ml(code, y, 0.1)
 
 
 def test_decode_budget():
@@ -507,6 +569,19 @@ def test_block_error_rate_useless_channel():
     assert abs(result.estimate - expected) <= 4 * sigma
 
 
+def test_block_error_rate_pinned():
+    # Printed by the fine-code scan before the coset-leader table replaced it.
+    lpn_code = registered_code(28, 8)
+    assert block_error_rate(lpn_code, Bsc(0.05), 2000, _rng("ber-pin-lpn")) == (
+        0.118, 0.1038610756844801, 0.1321389243155199
+    )
+    tied = _random_code("ber-pin-code", 20, 12, 4)
+    assert tied._leader_table.ties
+    assert block_error_rate(tied, Bsc(0.05), 1000, _rng("ber-pin-ties")) == (
+        0.135, 0.11381975354251042, 0.1561802464574896
+    )
+
+
 # --- serialization -------------------------------------------------------------
 
 
@@ -517,6 +592,12 @@ def test_code_text_roundtrip():
         assert back == code
         header = text.splitlines()[0]
         assert header == f"{code.n},{code.k_fine},{code.k_coarse}"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(code=_small_codes(max_n=24))
+def test_code_text_roundtrip_property(code):
+    assert code_from_text(code_to_text(code)) == code
 
 
 def test_code_text_rejects_inconsistent_header():

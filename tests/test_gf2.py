@@ -252,6 +252,21 @@ def test_bitmatrix_hex_roundtrip():
         assert BitMatrix.from_hex(m.to_hex()) == m
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(0, 130))
+def test_bitvector_hex_roundtrip_property(data, n):
+    v = BitVector(n, data.draw(st.integers(0, (1 << n) - 1)))
+    assert BitVector.from_hex(v.to_hex()) == v
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), rows=st.integers(0, 12), cols=st.integers(0, 70))
+def test_bitmatrix_hex_roundtrip_property(data, rows, cols):
+    words = data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    m = BitMatrix.from_row_words(words, cols)
+    assert BitMatrix.from_hex(m.to_hex()) == m
+
+
 def test_bitvector_hex_rejects_wrong_byte_count():
     with pytest.raises(ValueError, match=re.escape("'16:ff'")):
         BitVector.from_hex("16:ff")

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wiretaplab.channels import Quantizer, default_half_range, uniform_quantizer
+from wiretaplab.channels import Quantizer, default_half_range, normal_cdf, uniform_quantizer
 from wiretaplab import infometrics
 from wiretaplab.infometrics import (
     DiscreteChannelSpec,
@@ -254,6 +256,26 @@ def test_threshold_superset_never_decreases_mi():
         coarse = quantized_mutual_information(2.0, Quantizer(tuple(base)))
         fine = quantized_mutual_information(2.0, Quantizer(tuple(extra)))
         assert fine >= coarse - 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    half_levels=st.integers(1, 64),
+    sigma_tot_sq=st.floats(0.05, 50.0),
+)
+def test_quantizer_refinement_chain(half_levels, sigma_tot_sq):
+    # Doubling the span of uniform_quantizer(L) gives uniform_quantizer(2L - 2),
+    # whose thresholds contain the coarse ones exactly, and both contain the
+    # sign threshold 0: a data-processing chain with no tolerance.
+    levels = 2 * half_levels
+    half_range = default_half_range(sigma_tot_sq)
+    coarse = uniform_quantizer(levels, half_range)
+    fine = uniform_quantizer(2 * levels - 2, half_range)
+    assert set(coarse.thresholds) <= set(fine.thresholds)
+    p_w = normal_cdf(-1.0 / math.sqrt(sigma_tot_sq))
+    i_coarse = quantized_mutual_information(sigma_tot_sq, coarse)
+    i_fine = quantized_mutual_information(sigma_tot_sq, fine)
+    assert 1.0 - binary_entropy(p_w) <= i_coarse <= i_fine <= awgn_mutual_information(sigma_tot_sq)
 
 
 def test_equivocation_loss_two_level_boundary():

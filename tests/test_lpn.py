@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretaplab.coset import decode_ml, encode
 from wiretaplab.gf2 import BitMatrix, BitVector, mat_mul, mat_vec_mul
@@ -325,6 +327,48 @@ def test_ciphertext_file_roundtrip():
     text = ciphertext_to_text(ct)
     assert ciphertext_from_text(text) == ct
     assert text.splitlines()[0] == "lpn-ct v1: 28,16"
+
+
+def test_decrypt_of_loaded_key_builds_no_fine_code():
+    params = toy_params(p=0.005)
+    key, params = key_from_text(key_to_text(keygen(_rng("lazy"), params), params))
+    plain = BitVector.from_bits([1, 0, 1, 1])
+    assert decrypt(key, params, encrypt(key, params, plain, _rng("lazy-msg"))) == plain
+    # The coset-leader table decodes; the 2^16-word fine code stays unbuilt.
+    assert "_leader_table" in key.code.__dict__
+    assert "_fine_words" not in key.code.__dict__
+
+
+@st.composite
+def _keyed_params(draw):
+    """Any params the registered Hamming-block family admits, and a key."""
+    blocks = draw(st.integers(1, 4))
+    m = 2 * blocks
+    params = LpnParams(
+        l=draw(st.integers(1, m)),
+        m=m,
+        k=draw(st.integers(1, 40)),
+        n=7 * blocks,
+        p=draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
+    )
+    return keygen(_rng(f"prop-key-{draw(st.integers(0, 2**32))}"), params), params
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(keyed=_keyed_params())
+def test_key_text_roundtrip_property(keyed):
+    key, params = keyed
+    assert key_from_text(key_to_text(key, params)) == (key, params)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 80), k=st.integers(1, 80))
+def test_ciphertext_text_roundtrip_property(data, n, k):
+    ct = LpnCiphertext(
+        BitVector(n, data.draw(st.integers(0, (1 << n) - 1))),
+        BitVector(k, data.draw(st.integers(0, (1 << k) - 1))),
+    )
+    assert ciphertext_from_text(ciphertext_to_text(ct)) == ct
 
 
 def test_ciphertext_file_rejects_corruption():
