@@ -10,6 +10,7 @@ modeled by Quantizer partitions of the real line.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -32,15 +33,15 @@ __all__ = [
 
 
 def _check_variance(name: str, value: float, positive: bool = False) -> None:
-    """Reject a variance that is not finite, or is negative (zero too if positive)."""
+    """Reject a variance or scale that is not finite, or is negative (zero too if positive)."""
     bound = "> 0" if positive else ">= 0"
     if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 def normal_cdf(x: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    """Standard normal CDF, through erfc so the lower tail keeps its digits."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -75,17 +76,23 @@ class Quantizer:
     """L-level A/D converter given by L-1 strictly ascending thresholds.
 
     Cell i is (t_{i-1}, t_i] with unbounded extremes; a value exactly on a
-    threshold belongs to the lower-indexed cell.
+    threshold belongs to the lower-indexed cell.  A threshold of -inf or +inf
+    is legal and leaves an empty extreme cell; NaN is rejected.
     """
 
     thresholds: tuple
 
     def __post_init__(self):
-        if len(self.thresholds) < 1:
+        t = self.thresholds
+        if len(t) < 1:
             raise ValueError("need at least one threshold (L >= 2)")
-        for a, b in zip(self.thresholds, self.thresholds[1:]):
-            if not a < b:
-                raise ValueError("thresholds must be strictly ascending")
+        # NaN fails every comparison, so it can only pass the ascending check
+        # as the sole threshold.
+        if not all(map(operator.lt, t, t[1:])) or t[0] != t[0]:
+            for i, value in enumerate(t):
+                if value != value:
+                    raise ValueError(f"threshold {i} is {value!r}; thresholds must not be NaN")
+            raise ValueError("thresholds must be strictly ascending")
 
     @property
     def levels(self) -> int:
@@ -167,14 +174,13 @@ def uniform_quantizer(levels: int, half_range: float) -> Quantizer:
     """
     if levels < 2:
         raise ValueError("levels must be >= 2")
-    if half_range <= 0:
-        raise ValueError("half_range must be > 0")
+    _check_variance("half_range", half_range, positive=True)
     if levels == 2:
         return Quantizer((0.0,))
     # Integer numerators make the middle threshold of an even L exactly 0 and
     # t[i] == -t[-1 - i] exactly, so an even-L quantizer refines the sign one.
     span = levels - 2
-    return Quantizer(tuple(half_range * (2 * i - span) / span for i in range(levels - 1)))
+    return Quantizer(tuple([half_range * m / span for m in range(-span, span + 1, 2)]))
 
 
 def default_half_range(sigma_tot_sq: float) -> float:

@@ -5,7 +5,8 @@ information of arbitrary finite channels, the information I(X;W) an
 unquantized eavesdropper gets (a one-dimensional Gaussian expectation,
 evaluated by the trapezoid rule), and the equivocation lost when the
 eavesdropper's A/D front end is finer than the two-level one the code was
-designed against.
+designed against.  Quantized information takes its cell probabilities from
+Gaussian tails, for all quantizers of a sweep in one numpy pass.
 
 All logarithms are base 2; entropies are in bits.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .channels import (
     _check_variance,
     crossover_probabilities,
     default_half_range,
-    normal_cdf,
     uniform_quantizer,
 )
 
@@ -172,20 +173,58 @@ def awgn_mutual_information(sigma_tot_sq: float, tol: float = 1e-9) -> float:
     return min(max(1.0 - nats / math.log(2.0), 0.0), 1.0)
 
 
-def quantized_mutual_information(sigma_tot_sq: float, q: Quantizer) -> float:
-    """I(X; quantized W) from the exact cell-probability transition matrix.
+def _quantized_mi_bits(sigma_tot_sq: float, quantizers) -> list:
+    """I(X; Z_q) in bits for each quantizer q, all in one numpy pass.
 
-    P(cell | x) = Phi((t_hi - x)/sigma) - Phi((t_lo - x)/sigma) with open
-    extreme cells, uniform input on {-1, +1}.
+    X is uniform on {-1, +1} and Z_q quantizes X + N(0, sigma_tot_sq).  Every
+    threshold of every quantizer gives z = (t - x)/sigma for both x, and one
+    map of erfc over the 2n values gives its tail 0.5 erfc(|z|/sqrt 2): the
+    lower tail F(z) for z <= 0 and the upper tail S(z) for z > 0.  A cell
+    (a, b] is F(b) - F(a) below the median, S(a) - S(b) above it, and
+    1 - F(a) - S(b) where it straddles it, so no cell is the difference of
+    two values near 1; the open extreme cells read a sentinel tail of 0.
+    The entropies of the two rows and of their mixture are one reduction
+    over the cells of each quantizer.
     """
     _check_variance("sigma_tot_sq", sigma_tot_sq, positive=True)
     sigma = math.sqrt(sigma_tot_sq)
-    rows = []
-    for x in (-1.0, 1.0):
-        cdf = [0.0] + [normal_cdf((t - x) / sigma) for t in q.thresholds] + [1.0]
-        rows.append([hi - lo for lo, hi in zip(cdf, cdf[1:])])
-    spec = DiscreteChannelSpec((0.5, 0.5), rows)
-    return mutual_information_discrete(spec)
+    sizes = np.array([len(q.thresholds) for q in quantizers], dtype=np.intp)
+    t = np.fromiter(chain.from_iterable(q.thresholds for q in quantizers), float)
+    n = t.size
+    # Column n is the sentinel end of the open extreme cells: tail 0, and z
+    # NaN, which makes both sign tests below false there.
+    z = np.full((2, n + 1), math.nan)
+    z[:, :n] = (t - np.array([[-1.0], [1.0]])) / sigma
+    tails = np.zeros((2, n + 1))
+    scaled = (np.abs(z[:, :n]) / math.sqrt(2.0)).ravel().tolist()
+    tails[:, :n] = 0.5 * np.fromiter(map(math.erfc, scaled), float, 2 * n).reshape(2, n)
+    # Cell c of quantizer k lies between thresholds c - k - 1 and c - k of
+    # the concatenation; the first and last cell of each quantizer are open.
+    cells_per_q = sizes + 1
+    starts = np.cumsum(cells_per_q) - cells_per_q
+    right = np.arange(n + len(quantizers)) - np.repeat(np.arange(len(quantizers)), cells_per_q)
+    left = right - 1
+    left[starts] = n
+    right[starts + sizes] = n
+    f_a, f_b, z_a, z_b = tails[:, left], tails[:, right], z[:, left], z[:, right]
+    rows = np.where(z_b <= 0.0, f_b - f_a, np.where(z_a > 0.0, f_a - f_b, 1.0 - f_a - f_b))
+    dist = np.vstack((rows, 0.5 * (rows[0] + rows[1])))
+    terms = dist * np.log2(np.where(dist > 0.0, dist, 1.0))
+    h = -np.add.reduceat(terms, starts, axis=1)
+    mi = h[2] - 0.5 * (h[0] + h[1])
+    if (mi < -1e-12).any():
+        raise AssertionError(f"negative mutual information: {mi.min()}")
+    return np.maximum(mi, 0.0).tolist()
+
+
+def quantized_mutual_information(sigma_tot_sq: float, q: Quantizer) -> float:
+    """I(X; quantized W) in bits, from the exact cell probabilities.
+
+    Uniform input on {-1, +1}; each cell probability is taken from Gaussian
+    tails (see _quantized_mi_bits, which quantizer_sweep calls once per
+    operating point for all its quantizers).
+    """
+    return _quantized_mi_bits(sigma_tot_sq, [q])[0]
 
 
 def equivocation_loss(p: float, p_w: float, i_x_zhat: float) -> float:
@@ -269,9 +308,9 @@ def quantizer_sweep(sigma_m_sq: float, sigma_w_sq: float, levels_list) -> list:
     sigma_tot_sq = sigma_m_sq + sigma_w_sq
     p, p_w = crossover_probabilities(AwgnSplitChannel(sigma_m_sq, sigma_w_sq))
     half_range = default_half_range(sigma_tot_sq)
-    out = []
-    for levels in levels_list:
-        quantizer = uniform_quantizer(levels, half_range)
-        i_hat = quantized_mutual_information(sigma_tot_sq, quantizer)
-        out.append((levels, i_hat, equivocation_loss(p, p_w, i_hat)))
-    return out
+    quantizers = [uniform_quantizer(levels, half_range) for levels in levels_list]
+    i_hats = _quantized_mi_bits(sigma_tot_sq, quantizers)
+    return [
+        (levels, i_hat, equivocation_loss(p, p_w, i_hat))
+        for levels, i_hat in zip(levels_list, i_hats)
+    ]

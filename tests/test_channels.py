@@ -11,6 +11,7 @@ from wiretaplab.channels import (
     crossover_probabilities,
     default_half_range,
     degrading_channel,
+    normal_cdf,
     quantize,
     transmit,
     uniform_quantizer,
@@ -45,6 +46,13 @@ def test_crossover_vanishing_main_noise():
     assert p < 1e-20
     p0, _ = crossover_probabilities(AwgnSplitChannel(0.0, 1.0))
     assert p0 == 0.0
+
+
+def test_normal_cdf_keeps_lower_tail_digits():
+    # Phi(-10) to 17 digits; 0.5 * (1 + erf(x / sqrt 2)) cancels to 0.0 here.
+    assert abs(normal_cdf(-10.0) / 7.6198530241605260e-24 - 1.0) < 1e-14
+    p, _ = crossover_probabilities(AwgnSplitChannel(0.01, 0.0))
+    assert p == normal_cdf(-10.0)
 
 
 def test_crossover_monotone_in_wiretap_noise():
@@ -178,6 +186,22 @@ def test_quantizer_requires_ascending():
         Quantizer((0.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "thresholds, index",
+    [((math.nan,), 0), ((-1.0, math.nan, 1.0), 1), ((0.0, 1.0, math.nan), 2), ((math.nan, 0.0), 0)],
+)
+def test_quantizer_rejects_nan_threshold(thresholds, index):
+    with pytest.raises(ValueError, match=f"threshold {index} is nan; thresholds must not be NaN"):
+        Quantizer(thresholds)
+
+
+def test_quantizer_accepts_infinite_thresholds():
+    q = Quantizer((-math.inf, 0.0, math.inf))
+    assert q.levels == 4
+    assert quantize(q, -1e300) == 1
+    assert quantize(q, 1e300) == 2
+
+
 def test_uniform_quantizer_sign_case():
     assert uniform_quantizer(2, 123.0).thresholds == (0.0,)
 
@@ -201,6 +225,13 @@ def test_uniform_quantizer_rejects_bad_args():
         uniform_quantizer(1, 1.0)
     with pytest.raises(ValueError):
         uniform_quantizer(4, 0.0)
+
+
+@pytest.mark.parametrize("levels", [2, 4])
+@pytest.mark.parametrize("half_range", [math.nan, math.inf, -math.inf])
+def test_uniform_quantizer_rejects_non_finite_half_range(levels, half_range):
+    with pytest.raises(ValueError, match=f"half_range must be finite and > 0, got {half_range!r}"):
+        uniform_quantizer(levels, half_range)
 
 
 def test_refinement_determines_coarser_cells():

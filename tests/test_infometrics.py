@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wiretaplab.channels import Quantizer, default_half_range, normal_cdf, uniform_quantizer
@@ -236,6 +236,61 @@ def test_quantized_mi_converges_to_quadrature():
     assert abs(quantized_mutual_information(2.0, q) - awgn_mutual_information(2.0)) < 1e-3
 
 
+def _loop_quantized_mi(sigma_tot_sq, q):
+    """I(X; Z_q) from CDF differences, one 0.5 * (1 + erf) per threshold and
+    symbol, through DiscreteChannelSpec: the form the tail pass replaced,
+    kept as its reference."""
+    sigma = math.sqrt(sigma_tot_sq)
+    rows = []
+    for x in (-1.0, 1.0):
+        cdf = [0.0]
+        cdf += [0.5 * (1.0 + math.erf((t - x) / sigma / math.sqrt(2.0))) for t in q.thresholds]
+        cdf.append(1.0)
+        rows.append([hi - lo for lo, hi in zip(cdf, cdf[1:])])
+    return mutual_information_discrete(DiscreteChannelSpec((0.5, 0.5), rows))
+
+
+@st.composite
+def _quantizers(draw):
+    """Ascending thresholds, often asymmetric or all on one side of -1 or +1,
+    sometimes with an infinite first or last threshold."""
+    shift = draw(st.sampled_from([0.0, -14.0, -1.0, 1.0, 14.0]) | st.floats(-20.0, 20.0))
+    values = draw(st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=40))
+    thresholds = sorted({v + shift for v in values})
+    if draw(st.booleans()):
+        thresholds.insert(0, -math.inf)
+    if draw(st.booleans()):
+        thresholds.append(math.inf)
+    return Quantizer(tuple(thresholds))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(q=_quantizers(), sigma_tot_sq=st.floats(1e-3, 1e3))
+def test_quantized_mi_matches_loop_reference(q, sigma_tot_sq):
+    got = quantized_mutual_information(sigma_tot_sq, q)
+    assert abs(got - _loop_quantized_mi(sigma_tot_sq, q)) <= 1e-14
+
+
+def test_quantizer_sweep_rows_equal_single_calls():
+    levels = list(range(2, 257, 2))
+    for sigma_m_sq, sigma_w_sq in ((0.03, 0.03), (0.25, 0.625), (1.0, 1.0), (10.0, 40.0)):
+        total = sigma_m_sq + sigma_w_sq
+        half_range = default_half_range(total)
+        rows = quantizer_sweep(sigma_m_sq, sigma_w_sq, levels)
+        assert [row[0] for row in rows] == levels
+        for lvl, i_hat, _ in rows:
+            assert i_hat == quantized_mutual_information(total, uniform_quantizer(lvl, half_range))
+    assert quantizer_sweep(1.0, 1.0, []) == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(levels=st.integers(3, 300), half_range=st.floats(1e-3, 1e3))
+def test_uniform_quantizer_matches_generator_form(levels, half_range):
+    span = levels - 2
+    expected = tuple(half_range * (2 * i - span) / span for i in range(levels - 1))
+    assert uniform_quantizer(levels, half_range).thresholds == expected
+
+
 def test_data_processing_bound_random_quantizers():
     rng = _rng("dpi")
     limit = awgn_mutual_information(2.0)
@@ -263,6 +318,7 @@ def test_threshold_superset_never_decreases_mi():
     half_levels=st.integers(1, 64),
     sigma_tot_sq=st.floats(0.05, 50.0),
 )
+@example(half_levels=1, sigma_tot_sq=0.10052333949577164)
 def test_quantizer_refinement_chain(half_levels, sigma_tot_sq):
     # Doubling the span of uniform_quantizer(L) gives uniform_quantizer(2L - 2),
     # whose thresholds contain the coarse ones exactly, and both contain the
@@ -375,7 +431,7 @@ def test_quantizer_sweep_rows():
 def test_quantizer_sweep_rejects_odd_levels_before_any_work(monkeypatch):
     calls = []
     monkeypatch.setattr(
-        infometrics, "quantized_mutual_information", lambda *a: calls.append(a) or 0.5
+        infometrics, "_quantized_mi_bits", lambda *a: calls.append(a) or [0.5]
     )
     with pytest.raises(ValueError, match="odd level count 3: .*no threshold at 0"):
         quantizer_sweep(1.0, 1.0, [2, 4, 3])
