@@ -4,7 +4,11 @@ A code is a full-rank parity-check matrix h of shape (n - k_coarse) x n whose
 syndrome splits into a pinned-zero block (membership in the fine code Bob can
 decode) and a message block.  Encoding a message s picks a uniformly random
 solution of x @ h.T = [0 || s]; messages therefore index disjoint cosets of
-the secrecy subcode (the kernel of h) inside the fine code.
+the secrecy subcode (the kernel of h) inside the fine code.  Each code keeps
+k_fine generator words, the kernel basis then one particular solution per
+message bit, so fine-code word i = s * 2^k_coarse + c is the XOR of the
+generators that the bits of i select: the encoder draws the coset index c and
+XORs, and the fine-code table is built by doubling over the same generators.
 
 Equivocation H(S|Z)/K against a BSC eavesdropper is computed exactly by
 collapsing the 2^n output space onto syndrome classes: the noise distribution
@@ -33,7 +37,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import Bsc
-from .gf2 import BitMatrix, BitVector, eliminate, mat_vec_mul, random_full_rank
+from .gf2 import (
+    BitMatrix, BitVector, eliminate, mat_vec_mul, random_full_rank, row_parities, xor_rows
+)
 from .infometrics import binary_entropy
 
 __all__ = [
@@ -182,12 +188,6 @@ class CosetCode:
     def syndrome(self, x: BitVector) -> BitVector:
         return mat_vec_mul(self.h, x)
 
-    def syndrome_target(self, s: BitVector) -> BitVector:
-        """[0^zero_len || s], the right-hand side the encoder solves for."""
-        if s.len != self.msg_len:
-            raise ValueError(f"message length {s.len} != {self.msg_len}")
-        return BitVector.zeros(self.zero_len).concat(s)
-
     def __repr__(self):
         return (
             f"CosetCode(n={self.n}, k_fine={self.k_fine}, "
@@ -207,28 +207,22 @@ class CosetCode:
         return hash((self.h, self.zero_len, self.msg_len))
 
     @cached_property
-    def _subcode_words(self) -> np.ndarray:
-        """All 2^k_coarse secrecy-subcode words, index = basis coefficients."""
-        arr = np.zeros(1, dtype=np.uint64)
-        for vec in self._elimination.kernel:
-            arr = np.concatenate([arr, arr ^ np.uint64(vec.bits)])
-        return arr
-
-    @cached_property
-    def _coset_leaders(self) -> np.ndarray:
-        """Particular solution per message, index = message integer."""
-        arr = np.zeros(1, dtype=np.uint64)
-        for j in range(self.msg_len):
-            gen = self._elimination.particular(self.syndrome_target(BitVector(self.msg_len, 1 << j)))
-            arr = np.concatenate([arr, arr ^ np.uint64(gen.bits)])
-        return arr
+    def _generators(self) -> tuple:
+        """Fine-code generator words: the kernel basis in order, then the
+        particular solution of each unit message [0 || e_j].  Fine-code word
+        i = s * 2^k_coarse + c is the XOR of the generators that i selects."""
+        elim = self._elimination
+        units = (BitVector(self.h.rows, 1 << j) for j in range(self.zero_len, self.h.rows))
+        return tuple(v.bits for v in elim.kernel) + tuple(elim.particular(t).bits for t in units)
 
     @cached_property
     def _fine_words(self) -> np.ndarray:
-        """Fine-code words, flat index = message * 2^k_coarse + coset index."""
+        """All 2^k_fine fine-code words by flat index, doubled over the generators."""
         _check_enumeration_budget(self)
-        flat = self._coset_leaders[:, None] ^ self._subcode_words[None, :]
-        return flat.reshape(-1)
+        words = np.zeros(1 << self.k_fine, dtype=np.uint64)
+        for j, g in enumerate(self._generators):
+            np.bitwise_xor(words[: 1 << j], np.uint64(g), out=words[1 << j : 2 << j])
+        return words
 
     @cached_property
     def _leader_table(self) -> _LeaderTable | None:
@@ -244,21 +238,17 @@ def random_coset_code(rng, params: WiretapCodeParams) -> CosetCode:
 
 
 def encode(code: CosetCode, s: BitVector, rng) -> BitVector:
-    """Uniformly random codeword of the coset carrying message s."""
-    return code._elimination.solve(code.syndrome_target(s), rng)
+    """Uniformly random codeword of the coset carrying message s: the fine-code
+    word s * 2^k_coarse + c for c drawn from rng."""
+    if s.len != code.msg_len:
+        raise ValueError(f"message length {s.len} != {code.msg_len}")
+    c = rng.next_bits(code.k_coarse)
+    return BitVector(code.n, xor_rows(code._generators, (s.bits << code.k_coarse) | c))
 
 
 def _lex_key(word: int, n: int) -> tuple:
     """Coordinate-order bit tuple, so min() is the lexicographic smallest."""
     return tuple((word >> i) & 1 for i in range(n))
-
-
-def _parity_word(rows, x: int) -> int:
-    """Bit i = parity(rows[i] & x): a block of the syndrome of the word x."""
-    out = 0
-    for i, row in enumerate(rows):
-        out |= ((row & x).bit_count() & 1) << i
-    return out
 
 
 class _LeaderTable(NamedTuple):
@@ -330,7 +320,6 @@ def decode_ml(code: CosetCode, y: BitVector, p: float) -> BitVector:
         raise ValueError(f"received length {y.len} != n = {code.n}")
     if not 0.0 <= p <= 0.5:
         raise ValueError(f"crossover probability out of [0, 1/2]: {p}")
-    _check_enumeration_budget(code)
     table = code._leader_table
     if table is None:
         words = code._fine_words
@@ -339,13 +328,13 @@ def decode_ml(code: CosetCode, y: BitVector, p: float) -> BitVector:
         idx = min(candidates, key=lambda i: _lex_key(int(words[i]), code.n))
         return BitVector(code.k_msg, int(idx) >> code.k_coarse)
     rows = code.h.row_words
-    syndrome = _parity_word(rows[: code.zero_len], y.bits)
+    syndrome = row_parities(rows[: code.zero_len], y.bits)
     tied = table.ties.get(syndrome)
     if tied is None:
         word = y.bits ^ int(table.leaders[syndrome])
     else:
         word = min((y.bits ^ e for e in tied), key=lambda w: _lex_key(w, code.n))
-    return BitVector(code.k_msg, _parity_word(rows[code.zero_len :], word))
+    return BitVector(code.k_msg, row_parities(rows[code.zero_len :], word))
 
 
 @dataclass(frozen=True)
@@ -441,14 +430,13 @@ def _posterior_entropy_bits(code: CosetCode, z: np.ndarray, table: np.ndarray) -
 
 def _sample_outputs(code: CosetCode, p: float, samples: int, rng, workers: int):
     """Eavesdropper outputs x ^ noise, worker substream by worker substream."""
-    leaders = code._coset_leaders
-    subcode = code._subcode_words
+    words = code._fine_words
     base, extra = divmod(samples, workers)
     for worker in range(workers):
         stream = rng.substream(f"worker-{worker}")
         for _ in range(base + (1 if worker < extra else 0)):
             s = stream.next_bits(code.k_msg)
-            x = int(leaders[s]) ^ int(subcode[stream.next_bits(code.k_coarse)])
+            x = int(words[(s << code.k_coarse) | stream.next_bits(code.k_coarse)])
             yield x ^ stream.bernoulli_word(code.n, p)
 
 

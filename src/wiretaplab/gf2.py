@@ -18,6 +18,8 @@ __all__ = [
     "InconsistentSystemError",
     "Elimination",
     "eliminate",
+    "row_parities",
+    "xor_rows",
     "mat_vec_mul",
     "mat_mul",
     "rank",
@@ -200,28 +202,36 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
+def row_parities(rows, x: int) -> int:
+    """Bit i = parity(rows[i] & x): the packed product of the rows with x."""
+    out = 0
+    for i, row in enumerate(rows):
+        out |= ((row & x).bit_count() & 1) << i
+    return out
+
+
+def xor_rows(rows, x: int) -> int:
+    """XOR of the rows[i] whose bit i of x is set: the packed product x @ rows."""
+    out = 0
+    for row in rows:
+        if x & 1:
+            out ^= row
+        x >>= 1
+    return out
+
+
 def mat_vec_mul(m: BitMatrix, v: BitVector) -> BitVector:
     """m @ v over GF(2); result_i = parity(row_i & v)."""
     if v.len != m.cols:
         raise ValueError(f"dimension mismatch: {m.rows}x{m.cols} @ len {v.len}")
-    out = 0
-    for i, w in enumerate(m.row_words):
-        out |= ((w & v.bits).bit_count() & 1) << i
-    return BitVector(m.rows, out)
+    return BitVector(m.rows, row_parities(m.row_words, v.bits))
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """a @ b over GF(2)."""
+    """a @ b over GF(2): row i is the XOR of the rows of b that row i of a selects."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    bt = b.transpose()
-    words = []
-    for wa in a.row_words:
-        w = 0
-        for j, wb in enumerate(bt.row_words):
-            w |= ((wa & wb).bit_count() & 1) << j
-        words.append(w)
-    return BitMatrix(a.rows, b.cols, tuple(words))
+    return BitMatrix(a.rows, b.cols, tuple(xor_rows(b.row_words, wa) for wa in a.row_words))
 
 
 def _rref(words, cols):
@@ -286,21 +296,17 @@ class Elimination:
         rows = len(self.record)
         if target.len != rows:
             raise ValueError(f"dimension mismatch: target len {target.len}, {rows} rows")
-        parities = [(rec & target.bits).bit_count() & 1 for rec in self.record]
-        if any(parities[self.rank:]):
+        parities = row_parities(self.record, target.bits)
+        if parities >> self.rank:
             raise InconsistentSystemError("target not in the row space of h")
-        x = sum(1 << p for p, bit in zip(self.pivots, parities) if bit)
-        return BitVector(self.cols, x)
+        return BitVector(self.cols, xor_rows([1 << p for p in self.pivots], parities))
 
     def solve(self, target: BitVector, rng) -> BitVector:
         """A uniformly random solution of x @ h.T = target: the particular
         one XOR an rng-drawn combination of the kernel basis."""
         x = self.particular(target).bits
         coeffs = rng.next_bits(len(self.kernel))
-        for j, kv in enumerate(self.kernel):
-            if (coeffs >> j) & 1:
-                x ^= kv.bits
-        return BitVector(self.cols, x)
+        return BitVector(self.cols, x ^ xor_rows([kv.bits for kv in self.kernel], coeffs))
 
 
 def eliminate(h: BitMatrix) -> Elimination:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coset import CosetCode, code_from_text, code_to_text, decode_ml, encode
-from .gf2 import BitMatrix, BitVector, invert, mat_mul, mat_vec_mul, random_invertible
+from .gf2 import BitMatrix, BitVector, invert, mat_mul, mat_vec_mul, random_invertible, xor_rows
 
 __all__ = [
     "LpnParams",
@@ -147,11 +147,7 @@ def _mask(key: LpnKey, u: BitVector) -> BitVector:
     """u @ S, the keyed one-time mask: the XOR of the rows of S that u selects."""
     if u.len != key.s_matrix.rows:
         raise ValueError(f"mask input length {u.len} != {key.s_matrix.rows} rows of S")
-    mask = 0
-    for i, row in enumerate(key.s_matrix.row_words):
-        if (u.bits >> i) & 1:
-            mask ^= row
-    return BitVector(key.s_matrix.cols, mask)
+    return BitVector(key.s_matrix.cols, xor_rows(key.s_matrix.row_words, u.bits))
 
 
 def encrypt(key: LpnKey, params: LpnParams, a: BitVector, rng) -> LpnCiphertext:

@@ -80,16 +80,15 @@ def _random_code(label, n, k_fine, k_coarse):
 def _brute_force_equivocation(code, p):
     """Direct H(S|Z)/K over all 2^n outputs and all codewords."""
     n, k_c, k_m = code.n, code.k_coarse, code.k_msg
-    leaders = code._coset_leaders
-    subcode = code._subcode_words
+    cosets = code._fine_words.reshape(1 << k_m, 1 << k_c)
     q = 1.0 - p
     total = 0.0
     for z in range(1 << n):
         weights = []
         for s in range(1 << k_m):
             acc = 0.0
-            for c in subcode:
-                d = bin(int(leaders[s]) ^ int(c) ^ z).count("1")
+            for word in cosets[s]:
+                d = bin(int(word) ^ z).count("1")
                 acc += p**d * q ** (n - d)
             weights.append(acc / (1 << k_c))
         p_z = sum(weights) / (1 << k_m)
@@ -211,7 +210,7 @@ def test_encode_syndrome_always_matches_target():
     for _ in range(100):
         s = BitVector(code.k_msg, rng.next_bits(code.k_msg))
         x = encode(code, s, rng)
-        assert code.syndrome(x) == code.syndrome_target(s)
+        assert code.syndrome(x) == BitVector.zeros(code.zero_len).concat(s)
 
 
 def test_encode_draws_vary_with_randomness():
@@ -220,6 +219,49 @@ def test_encode_draws_vary_with_randomness():
     s = BitVector.from_bits([1, 0])
     outputs = {encode(code, s, rng).bits for _ in range(20)}
     assert len(outputs) > 1
+
+
+# k_msg = 0 with a one-dimensional subcode: encode draws only the coset bit.
+ZERO_MSG_CODE = CosetCode(BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]]), zero_len=2, msg_len=0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(code=_small_codes(max_n=24), messages=st.lists(st.integers(0, 2**24 - 1), max_size=20))
+@example(code=ZERO_MSG_CODE, messages=[0, 0, 0])
+@example(code=registered_code(28, 8), messages=list(range(256)))
+def test_encode_equals_elimination_solve(code, messages):
+    # The solve of [0 || s] is the encoder the generator XOR replaced, kept as
+    # its reference: from two identical streams both draw the same coset bits
+    # and, by linearity of the particular solution, give the same word.
+    ours, reference = _rng("enc-solve"), _rng("enc-solve")
+    for bits in messages:
+        s = BitVector(code.k_msg, bits & ((1 << code.k_msg) - 1))
+        target = BitVector.zeros(code.zero_len).concat(s)
+        assert encode(code, s, ours) == code._elimination.solve(target, reference)
+
+
+def _table_fine_words(code):
+    """Coset leaders per message XOR subcode words per coset index: the build
+    the generator doubling replaced, kept as its reference."""
+    elim = code._elimination
+    subcode = np.zeros(1, dtype=np.uint64)
+    for vec in elim.kernel:
+        subcode = np.concatenate([subcode, subcode ^ np.uint64(vec.bits)])
+    leaders = np.zeros(1, dtype=np.uint64)
+    for j in range(code.msg_len):
+        target = BitVector.zeros(code.zero_len).concat(BitVector(code.msg_len, 1 << j))
+        leaders = np.concatenate([leaders, leaders ^ np.uint64(elim.particular(target).bits)])
+    return (leaders[:, None] ^ subcode[None, :]).reshape(-1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(code=_small_codes())
+@example(code=ZERO_MSG_CODE)
+@example(code=registered_code(28, 8))
+def test_fine_words_equal_leader_subcode_table(code):
+    words = code._fine_words
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, _table_fine_words(code))
 
 
 def test_encode_length_mismatch():
@@ -256,15 +298,12 @@ def test_example1_coset_members_equally_likely():
 
 def test_stochastic_encoder_cosets_disjoint():
     for code in (example1_code(), _hamming_coset_code(), _random_code("disjoint", 9, 5, 2)):
-        seen = {}
-        leaders = code._coset_leaders
-        subcode = code._subcode_words
-        for s in range(1 << code.k_msg):
-            for c in subcode:
-                word = int(leaders[s]) ^ int(c)
-                assert word not in seen
-                seen[word] = s
-        assert len(seen) == 1 << code.k_fine
+        words = [int(w) for w in code._fine_words]
+        assert len(set(words)) == len(words) == 1 << code.k_fine
+        zero = BitVector.zeros(code.zero_len)
+        for i, word in enumerate(words):
+            s = BitVector(code.k_msg, i >> code.k_coarse)
+            assert code.syndrome(BitVector(code.n, word)) == zero.concat(s)
 
 
 # --- decoding ----------------------------------------------------------------

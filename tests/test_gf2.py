@@ -18,7 +18,9 @@ from wiretaplab.gf2 import (
     random_full_rank,
     random_invertible,
     rank,
+    row_parities,
     solve_affine,
+    xor_rows,
 )
 from wiretaplab.prng import prng_stream
 
@@ -371,3 +373,26 @@ def test_invert_property(data):
     else:
         with pytest.raises(SingularMatrixError):
             invert(m)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.lists(st.integers(0, 2**70 - 1), max_size=40), x=st.integers(0, 2**70 - 1))
+def test_row_parities_property(rows, x):
+    # Bit i is the GF(2) inner product of rows[i] and x, coordinate by coordinate.
+    expected = [sum((row >> c) & (x >> c) & 1 for c in range(70)) % 2 for row in rows]
+    got = row_parities(rows, x)
+    assert got >> len(rows) == 0
+    assert [(got >> i) & 1 for i in range(len(rows))] == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.lists(st.integers(0, 2**70 - 1), max_size=40), data=st.data())
+def test_xor_rows_property(rows, data):
+    x = data.draw(st.integers(0, (1 << len(rows)) - 1))
+    # Coordinate c is the parity of the selected rows' bits at c.
+    expected = [
+        sum((x >> i) & (row >> c) & 1 for i, row in enumerate(rows)) % 2 for c in range(70)
+    ]
+    got = xor_rows(rows, x)
+    assert got >> 70 == 0
+    assert [(got >> c) & 1 for c in range(70)] == expected
