@@ -39,6 +39,20 @@ def _check_variance(name: str, value: float, positive: bool = False) -> None:
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
+def _check_crossover(name: str, value: float) -> None:
+    """Reject a BSC crossover probability outside [0, 1/2], NaN included."""
+    if not 0.0 <= value <= 0.5:
+        raise ValueError(f"crossover probability {name} must be in [0, 1/2], got {value!r}")
+
+
+def _check_degraded(p: float, p_w: float) -> None:
+    """Reject a main/wiretap crossover pair unless 0 <= p <= p_w <= 1/2."""
+    _check_crossover("p", p)
+    _check_crossover("p_w", p_w)
+    if p > p_w:
+        raise ValueError(f"not degraded: p={p} > p_w={p_w}")
+
+
 def normal_cdf(x: float) -> float:
     """Standard normal CDF, through erfc so the lower tail keeps its digits."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
@@ -67,8 +81,7 @@ class Bsc:
     p: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 0.5:
-            raise ValueError(f"crossover probability out of [0, 1/2]: {self.p}")
+        _check_crossover("p", self.p)
 
 
 @dataclass(frozen=True)
@@ -117,9 +130,8 @@ def crossover_probabilities(ch: AwgnSplitChannel) -> tuple:
 
 def bsc_concatenate(p: float, p_y: float) -> float:
     """Crossover of BSC(p) followed by BSC(p_y): p(1-p_y) + (1-p)p_y."""
-    for value in (p, p_y):
-        if not 0.0 <= value <= 0.5:
-            raise ValueError(f"crossover probability out of [0, 1/2]: {value}")
+    _check_crossover("p", p)
+    _check_crossover("p_y", p_y)
     return p * (1.0 - p_y) + (1.0 - p) * p_y
 
 
@@ -129,10 +141,9 @@ def degrading_channel(p: float, p_w: float) -> Bsc:
     Closed form p_y = (p_w - p) / (1 - 2p); requires p <= p_w < 1/2 (the
     wiretap leg must be the degraded one).
     """
-    if not 0.0 <= p <= 0.5 or not 0.0 <= p_w < 0.5:
-        raise ValueError("crossover probabilities out of range")
-    if p > p_w:
-        raise ValueError(f"not degraded: p={p} > p_w={p_w}")
+    _check_degraded(p, p_w)
+    if p_w == 0.5:
+        raise ValueError(f"crossover probability p_w must be < 1/2, got {p_w!r}")
     if p == p_w:
         return Bsc(0.0)
     return Bsc((p_w - p) / (1.0 - 2.0 * p))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 
 from .channels import AwgnSplitChannel, Bsc, crossover_probabilities
 from .coset import (
@@ -24,14 +25,7 @@ from .coset import (
     example1_code,
     monte_carlo_equivocation,
 )
-from .infometrics import (
-    awgn_mutual_information,
-    binary_entropy,
-    equivocation_loss,
-    loss_curve,
-    quantizer_sweep,
-    secrecy_capacity_bsc,
-)
+from .infometrics import binary_entropy, loss_curve, quantizer_sweep, secrecy_capacity_bsc
 from .lpn import (
     LpnParams,
     ciphertext_from_text,
@@ -50,8 +44,12 @@ CAPACITY_HEADER = "p,p_w,h_p,h_p_w,c_s"
 SWEEP_HEADER = "levels,i_x_zhat,loss"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row: text as it is, numbers to 17 digits."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def _parse_seed(text: str):
@@ -148,15 +146,7 @@ def _read(path: str, parse):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _emit(text: str, out_path):
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def _cmd_capacity(args) -> int:
+def _cmd_capacity(args) -> str:
     p, p_w = args.override_p, args.override_p_w
     if p is None or p_w is None:
         if args.sigma_m_sq is None or args.sigma_w_sq is None:
@@ -168,23 +158,15 @@ def _cmd_capacity(args) -> int:
         p = ch_p if p is None else p
         p_w = ch_p_w if p_w is None else p_w
     c_s = secrecy_capacity_bsc(p, p_w)
-    row = ",".join(_fmt(v) for v in (p, p_w, binary_entropy(p), binary_entropy(p_w), c_s))
-    _emit(f"{CAPACITY_HEADER}\n{row}\n", args.out)
-    return 0
+    return _csv(CAPACITY_HEADER, [(p, p_w, binary_entropy(p), binary_entropy(p_w), c_s)])
 
 
-def _cmd_loss_curve(args) -> int:
+def _cmd_loss_curve(args) -> str:
     points = loss_curve(_required(args, "sigma-m-sq"), _required(args, "grid"))
-    lines = [LOSS_CURVE_HEADER]
-    for pt in points:
-        lines.append(
-            ",".join(_fmt(v) for v in (pt.sigma_w_sq, pt.p, pt.p_w, pt.i_xw, pt.loss))
-        )
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return _csv(LOSS_CURVE_HEADER, map(astuple, points))
 
 
-def _cmd_equivocation(args) -> int:
+def _cmd_equivocation(args) -> str:
     p_w = _required(args, "p-w")
     if args.example1:
         code = example1_code()
@@ -199,41 +181,25 @@ def _cmd_equivocation(args) -> int:
         report = monte_carlo_equivocation(
             code, Bsc(p_w), args.samples, seed, workers=args.workers
         )
-    _emit(f"{EQUIVOCATION_CSV_HEADER}\n{report.to_csv_row()}\n", args.out)
-    return 0
+    return _csv(EQUIVOCATION_CSV_HEADER, [astuple(report)])
 
 
-def _cmd_quantizer_sweep(args) -> int:
+def _cmd_quantizer_sweep(args) -> str:
     sigma_m_sq = _required(args, "sigma-m-sq")
     sigma_w_sq = _required(args, "sigma-w-sq")
     rows = quantizer_sweep(sigma_m_sq, sigma_w_sq, _required(args, "levels"))
-    p, p_w = crossover_probabilities(AwgnSplitChannel(sigma_m_sq, sigma_w_sq))
-    i_inf = awgn_mutual_information(sigma_m_sq + sigma_w_sq)
-    lines = [SWEEP_HEADER]
-    for lvl, i_hat, loss in rows:
-        lines.append(f"{lvl},{_fmt(i_hat)},{_fmt(loss)}")
-    lines.append(f"inf,{_fmt(i_inf)},{_fmt(equivocation_loss(p, p_w, i_inf))}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    inf = loss_curve(sigma_m_sq, [sigma_w_sq])[0]
+    return _csv(SWEEP_HEADER, rows + [("inf", inf.i_xw, inf.loss)])
 
 
-def _parse_lpn_params(spec: str) -> LpnParams:
-    fields = spec.split(",")
-    if len(fields) != 5:
-        raise ValueError(f"--params {spec!r}: expected l,m,k,n,p, got {len(fields)} values")
-    l, m, k, n, p = fields
-    try:
-        return LpnParams(int(l), int(m), int(k), int(n), float(p))
-    except ValueError as exc:
-        raise ValueError(f"--params {spec!r}: {exc}") from exc
-
-
-def _cmd_lpn(args) -> int:
+def _cmd_lpn(args) -> str:
     if args.lpn_action == "keygen":
-        params = _parse_lpn_params(_required(args, "params"))
-        key = keygen(_parse_seed(_required(args, "seed")), params)
-        _emit(key_to_text(key, params), args.out)
-        return 0
+        spec = _required(args, "params")
+        try:
+            params = LpnParams.from_text(spec)
+        except ValueError as exc:
+            raise ValueError(f"--params {spec!r}: {exc}") from exc
+        return key_to_text(keygen(_parse_seed(_required(args, "seed")), params), params)
     key, params = _read(_required(args, "key"), key_from_text)
     if args.lpn_action == "encrypt":
         seed = _required(args, "seed")
@@ -245,13 +211,11 @@ def _cmd_lpn(args) -> int:
         if bits >> params.l:
             raise ValueError(f"--message {text!r}: message does not fit in {params.l} bits")
         ct = encrypt(key, params, BitVector(params.l, bits), _parse_seed(seed))
-        _emit(ciphertext_to_text(ct), args.out)
-        return 0
+        return ciphertext_to_text(ct)
     ct = _read(_required(args, "ct"), ciphertext_from_text)
     plain = decrypt(key, params, ct)
     nbytes = (params.l + 7) // 8
-    _emit(plain.bits.to_bytes(nbytes, "little").hex() + "\n", args.out)
-    return 0
+    return plain.bits.to_bytes(nbytes, "little").hex() + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,7 +293,13 @@ def main(argv=None) -> int:
             subparsers = next(a for a in parser._actions if a.dest == "command")
             _load_config(args.config, subparsers.choices[args.command])
             args = parser.parse_args(argv)
-        return args.handler(args)
+        text = args.handler(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        return 0
     except Exception as exc:  # diagnostics to stderr, data stream stays clean
         print(f"wiretaplab: error: {exc}", file=sys.stderr)
         return 1

@@ -36,11 +36,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Bsc
+from .channels import Bsc, _check_crossover, _check_degraded
 from .gf2 import (
     BitMatrix, BitVector, eliminate, mat_vec_mul, random_full_rank, row_parities, xor_rows
 )
-from .infometrics import binary_entropy
+from .infometrics import _entropy_bits, binary_entropy
 
 __all__ = [
     "WiretapCodeParams",
@@ -106,7 +106,7 @@ class WiretapCodeParams:
             )
         if self.k_msg != self.k_fine - self.k_coarse:
             raise ValueError("k_msg must equal k_fine - k_coarse")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
 
     @property
@@ -123,13 +123,7 @@ def params_from_channel(n: int, p: float, p_w: float, epsilon: float) -> Wiretap
     k_fine - k_coarse, which keeps the rate at least h(p_w) - h(p) - 3 eps
     for large n.
     """
-    if not p < p_w:
-        if p == p_w:
-            k_fine = math.floor(n * (1.0 - binary_entropy(p) - 2.0 * epsilon))
-            if k_fine <= 0:
-                raise ValueError("nonpositive fine-code dimension")
-            return WiretapCodeParams(n, k_fine, k_fine, 0, epsilon)
-        raise ValueError(f"need p <= p_w, got p={p}, p_w={p_w}")
+    _check_degraded(p, p_w)
     k_fine = math.floor(n * (1.0 - binary_entropy(p) - 2.0 * epsilon))
     k_coarse = max(0, math.floor(n * (1.0 - binary_entropy(p_w) - 2.0 * epsilon)))
     if k_fine <= 0:
@@ -139,12 +133,13 @@ def params_from_channel(n: int, p: float, p_w: float, epsilon: float) -> Wiretap
     return WiretapCodeParams(n, k_fine, k_coarse, k_fine - k_coarse, epsilon)
 
 
-def _check_enumeration_budget(code: "CosetCode") -> None:
-    """Fine-code enumeration packs words into uint64 and walks 2^k_fine of them."""
-    if code.n > 63 or code.k_fine > MAX_ENUM_K_FINE:
+def _check_enumeration_budget(code: "CosetCode", max_n: int = 63) -> None:
+    """Fine-code enumeration packs words into uint64 (n <= 63) and walks 2^k_fine
+    of them; exact equivocation passes max_n = MAX_EXACT_N."""
+    if code.n > max_n or code.k_fine > MAX_ENUM_K_FINE:
         raise EnumerationBudgetError(
-            f"fine-code enumeration needs n <= 63 (uint64 packing) and k_fine <= "
-            f"{MAX_ENUM_K_FINE}; got n={code.n}, k_fine={code.k_fine}"
+            f"enumeration budget is n <= {max_n} and k_fine <= {MAX_ENUM_K_FINE}; "
+            f"got n={code.n}, k_fine={code.k_fine}"
         )
 
 
@@ -318,8 +313,7 @@ def decode_ml(code: CosetCode, y: BitVector, p: float) -> BitVector:
     """
     if y.len != code.n:
         raise ValueError(f"received length {y.len} != n = {code.n}")
-    if not 0.0 <= p <= 0.5:
-        raise ValueError(f"crossover probability out of [0, 1/2]: {p}")
+    _check_crossover("p", p)
     table = code._leader_table
     if table is None:
         words = code._fine_words
@@ -354,11 +348,6 @@ class EquivocationReport:
         )
 
 
-def _xlog2_sum(values: np.ndarray) -> float:
-    nz = values[values > 0]
-    return float((nz * np.log2(nz)).sum())
-
-
 def _syndrome_pushforward(code: CosetCode, p: float) -> np.ndarray:
     """Distribution of the syndrome of Bernoulli(p)^n noise.
 
@@ -387,11 +376,7 @@ def exact_equivocation(code: CosetCode, wiretap: Bsc) -> EquivocationReport:
     over messages depends on z only through its syndrome, so the sum over all
     2^n outputs collapses onto 2^(n - k_coarse) syndrome classes.
     """
-    if code.n > MAX_EXACT_N or code.k_fine > MAX_ENUM_K_FINE:
-        raise EnumerationBudgetError(
-            f"exact equivocation budget is n <= {MAX_EXACT_N} and "
-            f"k_fine <= {MAX_ENUM_K_FINE}; got n={code.n}, k_fine={code.k_fine}"
-        )
+    _check_enumeration_budget(code, MAX_EXACT_N)
     if code.k_msg == 0:
         raise ValueError("code carries no message bits")
     w = _syndrome_pushforward(code, wiretap.p)
@@ -401,7 +386,7 @@ def exact_equivocation(code: CosetCode, wiretap: Bsc) -> EquivocationReport:
     indices = np.arange(size, dtype=np.int64)
     for j in range(code.msg_len):
         t = t + t[indices ^ (1 << (code.zero_len + j))]
-    h_s_given_z = _xlog2_sum(t) / (1 << code.k_msg) - _xlog2_sum(w)
+    h_s_given_z = _entropy_bits(w) - _entropy_bits(t) / (1 << code.k_msg)
     delta = h_s_given_z / code.k_msg
     delta = min(max(delta, 0.0), 1.0)
     return EquivocationReport(
@@ -425,7 +410,7 @@ def _posterior_entropy_bits(code: CosetCode, z: np.ndarray, table: np.ndarray) -
     posterior = per_message / per_message.sum(axis=1)[:, None]
     if (posterior > 0.0).all():
         return -(posterior * np.log2(posterior)).sum(axis=1)
-    return np.array([-_xlog2_sum(row) for row in posterior])
+    return np.array([_entropy_bits(row) for row in posterior])
 
 
 def _sample_outputs(code: CosetCode, p: float, samples: int, rng, workers: int):

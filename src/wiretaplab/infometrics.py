@@ -22,6 +22,7 @@ import numpy as np
 from .channels import (
     AwgnSplitChannel,
     Quantizer,
+    _check_degraded,
     _check_variance,
     crossover_probabilities,
     default_half_range,
@@ -54,6 +55,7 @@ def binary_entropy(p: float) -> float:
 
 
 def _entropy_bits(dist: np.ndarray) -> float:
+    """-sum x log2 x over the positive entries of dist, with 0 log 0 = 0."""
     nz = dist[dist > 0]
     return float(-(nz * np.log2(nz)).sum())
 
@@ -93,10 +95,7 @@ def mutual_information_discrete(spec: DiscreteChannelSpec) -> float:
 
 def secrecy_capacity_bsc(p: float, p_w: float) -> float:
     """h(p_w) - h(p) for a degraded BSC pair (uniform input is optimal)."""
-    if not 0.0 <= p <= 0.5 or not 0.0 <= p_w <= 0.5:
-        raise ValueError("crossover probabilities out of [0, 1/2]")
-    if p > p_w:
-        raise ValueError(f"not degraded: p={p} > p_w={p_w}")
+    _check_degraded(p, p_w)
     return binary_entropy(p_w) - binary_entropy(p)
 
 
@@ -234,10 +233,7 @@ def equivocation_loss(p: float, p_w: float, i_x_zhat: float) -> float:
     actual equivocation cannot drop below zero.  i_x_zhat must lie in
     [1 - h(p_w), 1]: the two-level value is the floor of the believed model.
     """
-    if not 0.0 <= p <= 0.5 or not 0.0 <= p_w <= 0.5:
-        raise ValueError("crossover probabilities out of [0, 1/2]")
-    if p > p_w:
-        raise ValueError(f"not degraded: p={p} > p_w={p_w}")
+    _check_degraded(p, p_w)
     if p == p_w:
         raise ValueError("p == p_w leaves no secrecy to lose (zero denominator)")
     h_p = binary_entropy(p)
@@ -258,10 +254,7 @@ def max_equivocation_loss(sigma_m_sq: float, sigma_w_sq: float) -> float:
     sigma_m_sq + sigma_w_sq, the supremum over all A/D front ends.
     """
     _check_variance("sigma_m_sq", sigma_m_sq, positive=True)
-    _check_variance("sigma_w_sq", sigma_w_sq, positive=True)
-    p, p_w = crossover_probabilities(AwgnSplitChannel(sigma_m_sq, sigma_w_sq))
-    i_xw = awgn_mutual_information(sigma_m_sq + sigma_w_sq)
-    return equivocation_loss(p, p_w, i_xw)
+    return loss_curve(sigma_m_sq, [sigma_w_sq])[0].loss
 
 
 @dataclass(frozen=True)
@@ -297,7 +290,8 @@ def quantizer_sweep(sigma_m_sq: float, sigma_w_sq: float, levels_list) -> list:
     """Per-L quantized information and loss, for uniform default-range grids.
 
     Returns (levels, i_x_zhat, loss) triples; callers append the L -> infinity
-    row from awgn_mutual_information themselves.  Level counts must be even.
+    row from loss_curve(sigma_m_sq, [sigma_w_sq]) themselves.  Level counts
+    must be even.
     """
     for levels in levels_list:
         if levels % 2:

@@ -64,6 +64,19 @@ class LpnParams:
         if not 0.0 < self.p < 0.5:
             raise ValueError(f"noise rate out of (0, 1/2): {self.p}")
 
+    @classmethod
+    def from_text(cls, text: str) -> "LpnParams":
+        """Parse 'l,m,k,n,p', the form `to_text` writes."""
+        fields = text.split(",")
+        if len(fields) != 5:
+            raise ValueError(f"expected l,m,k,n,p, got {len(fields)} values")
+        l, m, k, n, p = fields
+        return cls(int(l), int(m), int(k), int(n), float(p))
+
+    def to_text(self) -> str:
+        """'l,m,k,n,p' with p exact (repr): the --params value and key-file header."""
+        return f"{self.l},{self.m},{self.k},{self.n},{self.p!r}"
+
 
 @dataclass(frozen=True)
 class LpnKey:
@@ -176,7 +189,7 @@ def decrypt(key: LpnKey, params: LpnParams, ct: LpnCiphertext) -> BitVector:
 def key_to_text(key: LpnKey, params: LpnParams) -> str:
     """Key file: header with params, then S, M and the code as `code_to_text` writes it."""
     return (
-        f"{KEY_HEADER} {params.l},{params.m},{params.k},{params.n},{params.p!r}\n"
+        f"{KEY_HEADER} {params.to_text()}\n"
         f"{key.s_matrix.to_hex()}\n"
         f"{key.mixing.to_hex()}\n"
         f"{code_to_text(key.code)}"
@@ -188,8 +201,7 @@ def key_from_text(text: str) -> tuple:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 5 or not lines[0].startswith(KEY_HEADER):
         raise ValueError("not a v1 lpn key file")
-    l, m, k, n, p = lines[0][len(KEY_HEADER):].strip().split(",")
-    params = LpnParams(int(l), int(m), int(k), int(n), float(p))
+    params = LpnParams.from_text(lines[0][len(KEY_HEADER):])
     s_matrix = BitMatrix.from_hex(lines[1])
     mixing = BitMatrix.from_hex(lines[2])
     code = code_from_text("\n".join(lines[3:]))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -16,7 +17,9 @@ from wiretaplab.channels import (
     transmit,
     uniform_quantizer,
 )
+from wiretaplab.coset import decode_ml, example1_code, params_from_channel
 from wiretaplab.gf2 import BitVector
+from wiretaplab.infometrics import equivocation_loss, secrecy_capacity_bsc
 from wiretaplab.prng import prng_stream
 
 # Phi(-1) and Phi(-1/sqrt(2)) from the standard normal CDF.
@@ -116,6 +119,40 @@ def test_degrading_channel_roundtrip_random():
 def test_degrading_channel_rejects_ordering():
     with pytest.raises(ValueError):
         degrading_channel(0.2, 0.1)
+
+
+def test_degrading_channel_rejects_half_noise_wiretap():
+    with pytest.raises(ValueError, match="p_w must be < 1/2, got 0.5"):
+        degrading_channel(0.1, 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1, 0.6])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        pytest.param("p", lambda v: Bsc(v), id="Bsc"),
+        pytest.param("p", lambda v: bsc_concatenate(v, 0.1), id="bsc_concatenate-p"),
+        pytest.param("p_y", lambda v: bsc_concatenate(0.1, v), id="bsc_concatenate-p_y"),
+        pytest.param("p", lambda v: degrading_channel(v, 0.3), id="degrading_channel-p"),
+        pytest.param("p_w", lambda v: degrading_channel(0.1, v), id="degrading_channel-p_w"),
+        pytest.param(
+            "p", lambda v: decode_ml(example1_code(), BitVector.zeros(2), v), id="decode_ml"
+        ),
+        pytest.param("p", lambda v: secrecy_capacity_bsc(v, 0.3), id="secrecy_capacity_bsc-p"),
+        pytest.param("p_w", lambda v: secrecy_capacity_bsc(0.1, v), id="secrecy_capacity_bsc-p_w"),
+        pytest.param("p", lambda v: equivocation_loss(v, 0.3, 1.0), id="equivocation_loss-p"),
+        pytest.param("p_w", lambda v: equivocation_loss(0.1, v, 1.0), id="equivocation_loss-p_w"),
+        pytest.param("p", lambda v: params_from_channel(24, v, 0.3, 0.01), id="params_from_channel-p"),
+        pytest.param(
+            "p_w", lambda v: params_from_channel(24, 0.1, v, 0.01), id="params_from_channel-p_w"
+        ),
+    ],
+)
+def test_crossover_entry_points_reject_out_of_range(name, call, bad):
+    # Every function that takes a BSC crossover shares one check and one message.
+    message = f"crossover probability {name} must be in [0, 1/2], got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(bad)
 
 
 def test_transmit_noiseless_maps_symbols():

@@ -143,6 +143,51 @@ def test_equivocation_mc_pinned_stdout(capsys):
         assert (code, out, err) == (0, expected, "")
 
 
+def test_analysis_pinned_stdout(tmp_path, capsys):
+    # Frozen from the commands' stdout while each handler still wrote its own
+    # text; every table goes through one formatter now.
+    code_path = tmp_path / "code.txt"
+    code_path.write_text("12,8,4\n8,12:9082ef26716304c0167c52ed\n")
+    for argv, expected in (
+        (
+            ("capacity", "--sigma-m-sq", "1", "--sigma-w-sq", "1"),
+            "p,p_w,h_p,h_p_w,c_s\n"
+            "0.15865525393145707,0.23975006109347677,0.63108276740554203,"
+            "0.79462439261747375,0.16354162521193172\n",
+        ),
+        (
+            ("capacity", "--override-p", "0", "--override-p-w", "0.25"),
+            "p,p_w,h_p,h_p_w,c_s\n0,0.25,0,0.81127812445913283,0.81127812445913283\n",
+        ),
+        (
+            ("loss-curve", "--sigma-m-sq", "1", "--grid", "0.5:2:3"),
+            "sigma_w_sq,p,p_w,i_xw,loss\n"
+            "0.5,0.15865525393145707,0.20710808912126252,0.36382084718248153,0.95138692994010776\n"
+            "1.25,0.15865525393145707,0.25249253754692291,0.26386137870151927,0.42942285851100587\n"
+            "2,0.15865525393145707,0.2818514308253865,0.20695731322741451,0.28613808618074721\n",
+        ),
+        (
+            ("quantizer-sweep", "--sigma-m-sq", "1", "--sigma-w-sq", "1", "--levels", "2,4,16"),
+            "levels,i_x_zhat,loss\n"
+            "2,0.20537560738252625,0\n"
+            "4,0.20537560777185904,2.3806342130109877e-09\n"
+            "16,0.27355124881380144,0.4168702698345278\n"
+            "inf,0.29048011336084789,0.52038437228464429\n",
+        ),
+        (
+            ("equivocation", "--example1", "--p-w", "0.25", "--mode", "exact"),
+            "equivocation,rate,error_prob,method,stderr\n"
+            "0.95443400292496505,0.5,nan,exact,0\n",
+        ),
+        (
+            ("equivocation", "--code-file", str(code_path), "--p-w", "0.2", "--mode", "exact"),
+            "equivocation,rate,error_prob,method,stderr\n"
+            "0.79038595709849546,0.33333333333333331,nan,exact,0\n",
+        ),
+    ):
+        assert run(capsys, *argv) == (0, expected, ""), argv
+
+
 def test_equivocation_mc_requires_seed(capsys):
     code, out, err = run(
         capsys, "equivocation", "--example1", "--p-w", "0.25", "--mode", "mc"

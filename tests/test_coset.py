@@ -166,6 +166,20 @@ def test_params_full_noise_wiretap_spends_everything_on_secrecy():
 def test_params_equal_channels_no_message():
     params = params_from_channel(1000, 0.1, 0.1, 1e-4)
     assert params.k_msg == 0
+    assert params.k_fine == params.k_coarse == math.floor(1000 * (1 - binary_entropy(0.1) - 2e-4))
+
+
+def test_params_reject_wiretap_crossover_past_half():
+    # h(0.7) = h(0.3), so the dimension formulas alone would give k_msg = 10
+    # for a wiretap channel that Bsc rejects.
+    with pytest.raises(ValueError, match=r"crossover probability p_w must be in \[0, 1/2\], got 0.7"):
+        params_from_channel(24, 0.1, 0.7, 0.01)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.01, math.nan])
+def test_wiretap_params_reject_non_positive_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be > 0"):
+        WiretapCodeParams(24, 8, 4, 4, epsilon)
 
 
 def test_params_nonpositive_dimension_rejected():

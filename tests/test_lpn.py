@@ -313,6 +313,9 @@ def test_key_file_rejects_corruption():
     swapped[0] = "lpn-key v1: 4,8,16,35,0.05"
     with pytest.raises(ValueError):
         key_from_text("\n".join(swapped))
+    swapped[0] = "lpn-key v1: 4,8,16,28"
+    with pytest.raises(ValueError, match="expected l,m,k,n,p, got 4 values"):
+        key_from_text("\n".join(swapped))
     # The code header must match its matrix, as in a code file.
     assert lines[3] == "28,16,8"
     bad_code = lines[:3] + ["99,87,79"] + lines[4:]
@@ -359,6 +362,7 @@ def _keyed_params(draw):
 def test_key_text_roundtrip_property(keyed):
     key, params = keyed
     assert key_from_text(key_to_text(key, params)) == (key, params)
+    assert LpnParams.from_text(params.to_text()) == params
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
