@@ -477,6 +477,41 @@ def test_exact_equivocation_at_budget_edge():
     assert abs(mc.equivocation - exact) <= 3 * mc.stderr
 
 
+# `report.to_csv_row()` of exact equivocation on the codes of the pinned MC
+# rows below, printed by the column-by-column syndrome pushforward.  p = 1e-300
+# keeps the p * w terms that underflow; any reordering of the float work moves
+# a digit here.
+@pytest.mark.parametrize(
+    "label, shape, rows",
+    [
+        (
+            "pin-k8",
+            (24, 8, 4),
+            (
+                "0,0.16666666666666666,nan,exact,0",
+                "1.3580773062177743e-312,0.16666666666666666,nan,exact,0",
+                "0.63190849759117418,0.16666666666666666,nan,exact,0",
+                "1,0.16666666666666666,nan,exact,0",
+            ),
+        ),
+        (
+            "pin-k16",
+            (24, 16, 8),
+            (
+                "0,0.33333333333333331,nan,exact,0",
+                "2.5000000000047377e-301,0.33333333333333331,nan,exact,0",
+                "0.95666353251696834,0.33333333333333331,nan,exact,0",
+                "1,0.33333333333333331,nan,exact,0",
+            ),
+        ),
+    ],
+)
+def test_exact_equivocation_pinned_rows(label, shape, rows):
+    code = _random_code(label, *shape)
+    for p, row in zip((0.0, 1e-300, P_W_PIN, 0.5), rows):
+        assert exact_equivocation(code, Bsc(p)).to_csv_row() == row
+
+
 def test_exact_equivocation_no_message_bits():
     code = CosetCode(BitMatrix.identity(2), zero_len=2, msg_len=0)
     with pytest.raises(ValueError):
