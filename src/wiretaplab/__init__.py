@@ -40,16 +40,11 @@ from .gf2 import (
     Elimination,
     InconsistentSystemError,
     SingularMatrixError,
-    eliminate,
     invert,
-    kernel_basis,
     mat_mul,
     mat_vec_mul,
     random_full_rank,
-    random_invertible,
-    rank,
     row_parities,
-    solve_affine,
     xor_rows,
 )
 from .infometrics import (

@@ -17,7 +17,7 @@ import argparse
 import sys
 from dataclasses import astuple
 
-from .channels import AwgnSplitChannel, Bsc, crossover_probabilities
+from .channels import AwgnSplitChannel, Bsc, _check_crossover, crossover_probabilities
 from .coset import (
     EQUIVOCATION_CSV_HEADER,
     code_from_text,
@@ -168,6 +168,7 @@ def _cmd_loss_curve(args) -> str:
 
 def _cmd_equivocation(args) -> str:
     p_w = _required(args, "p-w")
+    _check_crossover("--p-w", p_w)
     if args.example1:
         code = example1_code()
     elif args.code_file is not None:
@@ -205,9 +206,15 @@ def _cmd_lpn(args) -> str:
         seed = _required(args, "seed")
         text = _required(args, "message")
         try:
-            bits = int.from_bytes(bytes.fromhex(text), "little")
+            raw = bytes.fromhex(text)
         except ValueError as exc:
             raise ValueError(f"--message {text!r}: not hex bytes ({exc})") from exc
+        nbytes = (params.l + 7) // 8
+        if len(raw) != nbytes:
+            raise ValueError(
+                f"--message {text!r}: {params.l} bits need {nbytes} hex bytes, got {len(raw)}"
+            )
+        bits = int.from_bytes(raw, "little")
         if bits >> params.l:
             raise ValueError(f"--message {text!r}: message does not fit in {params.l} bits")
         ct = encrypt(key, params, BitVector(params.l, bits), _parse_seed(seed))

@@ -38,7 +38,7 @@ import numpy as np
 
 from .channels import Bsc, _check_crossover, _check_degraded
 from .gf2 import (
-    BitMatrix, BitVector, eliminate, mat_vec_mul, random_full_rank, row_parities, xor_rows
+    BitMatrix, BitVector, Elimination, mat_vec_mul, random_full_rank, row_parities, xor_rows
 )
 from .infometrics import _entropy_bits, binary_entropy
 
@@ -153,7 +153,7 @@ class CosetCode:
             raise ValueError(
                 f"syndrome layout {zero_len}+{msg_len} != {h.rows} rows"
             )
-        self._elimination = eliminate(h)
+        self._elimination = Elimination(h)
         if self._elimination.rank != h.rows:
             raise ValueError("parity-check matrix must have full row rank")
         self.h = h
@@ -211,6 +211,11 @@ class CosetCode:
         return tuple(v.bits for v in elim.kernel) + tuple(elim.particular(t).bits for t in units)
 
     @cached_property
+    def _columns(self) -> tuple:
+        """Column j of h packed as an int: the syndrome of a flip of bit j."""
+        return self.h.transpose().row_words
+
+    @cached_property
     def _fine_words(self) -> np.ndarray:
         """All 2^k_fine fine-code words by flat index, doubled over the generators."""
         _check_enumeration_budget(self)
@@ -266,7 +271,7 @@ def _build_leader_table(code: CosetCode) -> _LeaderTable | None:
     size = 1 << code.zero_len
     if code.zero_len > code.k_fine or size > MAX_LEADER_PATTERNS:
         return None
-    cols = [col & (size - 1) for col in code.h.transpose().row_words]
+    cols = [col & (size - 1) for col in code._columns]
     words = np.zeros(1, dtype=np.uint64)
     syndromes = np.zeros(1, dtype=np.int32)
     tops = np.full(1, -1, dtype=np.int8)  # highest set bit of each pattern
@@ -314,20 +319,17 @@ def decode_ml(code: CosetCode, y: BitVector, p: float) -> BitVector:
     if y.len != code.n:
         raise ValueError(f"received length {y.len} != n = {code.n}")
     _check_crossover("p", p)
+    rows = code.h.row_words
     table = code._leader_table
     if table is None:
         words = code._fine_words
         dist = np.bitwise_count(words ^ np.uint64(y.bits))
-        candidates = np.flatnonzero(dist == dist.min())
-        idx = min(candidates, key=lambda i: _lex_key(int(words[i]), code.n))
-        return BitVector(code.k_msg, int(idx) >> code.k_coarse)
-    rows = code.h.row_words
-    syndrome = row_parities(rows[: code.zero_len], y.bits)
-    tied = table.ties.get(syndrome)
-    if tied is None:
-        word = y.bits ^ int(table.leaders[syndrome])
+        nearest = words[dist == dist.min()].tolist()
     else:
-        word = min((y.bits ^ e for e in tied), key=lambda w: _lex_key(w, code.n))
+        syndrome = row_parities(rows[: code.zero_len], y.bits)
+        tied = table.ties.get(syndrome)
+        nearest = [y.bits ^ e for e in tied] if tied else [y.bits ^ int(table.leaders[syndrome])]
+    word = nearest[0] if len(nearest) == 1 else min(nearest, key=lambda w: _lex_key(w, code.n))
     return BitVector(code.k_msg, row_parities(rows[code.zero_len :], word))
 
 
@@ -348,24 +350,12 @@ class EquivocationReport:
         )
 
 
-def _syndrome_pushforward(code: CosetCode, p: float) -> np.ndarray:
-    """Distribution of the syndrome of Bernoulli(p)^n noise.
-
-    W[u] = sum over noise patterns t with t @ h.T = u of p^wt(t) (1-p)^(n-wt),
-    built coordinate by coordinate; W is constant on cosets of the secrecy
-    subcode, which is exactly the collapse that makes exact equivocation
-    tractable.
-    """
-    size = 1 << code.h.rows
-    columns = code.h.transpose().row_words
-    w = np.zeros(size, dtype=float)
-    w[0] = 1.0
-    indices = np.arange(size, dtype=np.int64)
-    q = 1.0 - p
-    for col in columns:
-        if col == 0:
-            continue  # zero column never moves the syndrome
-        w = q * w + p * w[indices ^ col]
+def _xor_fold(w: np.ndarray, masks, a: float, b: float) -> np.ndarray:
+    """w[u] <- a * w[u] + b * w[u ^ m] for each nonzero mask m in turn."""
+    indices = np.arange(len(w), dtype=np.int64)
+    for m in masks:
+        if m:  # a zero mask never moves the index
+            w = a * w + b * w[indices ^ m]
     return w
 
 
@@ -379,13 +369,14 @@ def exact_equivocation(code: CosetCode, wiretap: Bsc) -> EquivocationReport:
     _check_enumeration_budget(code, MAX_EXACT_N)
     if code.k_msg == 0:
         raise ValueError("code carries no message bits")
-    w = _syndrome_pushforward(code, wiretap.p)
+    # W[u] = sum over noise patterns e with e @ h.T = u of p^wt(e) (1-p)^(n-wt),
+    # pushed through h column by column; W is constant on cosets of the
+    # secrecy subcode, which is the collapse that makes this tractable.
+    w = np.zeros(1 << code.h.rows, dtype=float)
+    w[0] = 1.0
+    w = _xor_fold(w, code._columns, 1.0 - wiretap.p, wiretap.p)
     # T[u] = sum over messages s of W[u ^ embed(s)], folded bit by bit.
-    t = w
-    size = w.shape[0]
-    indices = np.arange(size, dtype=np.int64)
-    for j in range(code.msg_len):
-        t = t + t[indices ^ (1 << (code.zero_len + j))]
+    t = _xor_fold(w, [1 << j for j in range(code.zero_len, code.h.rows)], 1.0, 1.0)
     h_s_given_z = _entropy_bits(w) - _entropy_bits(t) / (1 << code.k_msg)
     delta = h_s_given_z / code.k_msg
     delta = min(max(delta, 0.0), 1.0)

@@ -1,9 +1,10 @@
 """Dense GF(2) linear algebra on bit-packed integers.
 
 Vectors and matrices are stored as Python integers, bit i of a row being
-coordinate i (LSB-first).  Gauss-Jordan elimination with XOR row operations
-covers rank, inversion, kernel bases and affine solving; everything here is
-desk-scale, no attempt at asymptotically fast multiplication.
+coordinate i (LSB-first).  One Gauss-Jordan elimination with XOR row
+operations, `Elimination`, gives rank, kernel basis and affine solutions, and
+`invert` reads the inverse from it; everything here is desk-scale, no attempt
+at asymptotically fast multiplication.
 """
 
 from __future__ import annotations
@@ -17,17 +18,12 @@ __all__ = [
     "SingularMatrixError",
     "InconsistentSystemError",
     "Elimination",
-    "eliminate",
     "row_parities",
     "xor_rows",
     "mat_vec_mul",
     "mat_mul",
-    "rank",
     "invert",
-    "solve_affine",
-    "kernel_basis",
     "random_full_rank",
-    "random_invertible",
 ]
 
 
@@ -263,7 +259,8 @@ def _rref(words, cols):
 
 class Elimination:
     """Gauss-Jordan elimination of h, kept so that one elimination serves
-    rank, inverse, kernel and every right-hand side.
+    its rank (``.rank``), kernel basis (``.kernel``) and every right-hand side
+    (``.particular``, ``.solve``).
 
     ``record[i]``, kept in the high bits of the augmented rows, packs the rows
     of h that XOR to reduced row i, so reduced row i of x @ h.T = target has
@@ -302,43 +299,23 @@ class Elimination:
         return BitVector(self.cols, xor_rows([1 << p for p in self.pivots], parities))
 
     def solve(self, target: BitVector, rng) -> BitVector:
-        """A uniformly random solution of x @ h.T = target: the particular
-        one XOR an rng-drawn combination of the kernel basis."""
+        """A uniformly random solution of x @ h.T = target, reproducible given
+        the stream: the particular one XOR an rng-drawn combination of the
+        kernel basis; raises InconsistentSystemError when there is none."""
         x = self.particular(target).bits
         coeffs = rng.next_bits(len(self.kernel))
         return BitVector(self.cols, x ^ xor_rows([kv.bits for kv in self.kernel], coeffs))
-
-
-def eliminate(h: BitMatrix) -> Elimination:
-    """Gauss-Jordan elimination of h with its row-operation record."""
-    return Elimination(h)
-
-
-def rank(m: BitMatrix) -> int:
-    """GF(2) rank via elimination."""
-    return eliminate(m).rank
 
 
 def invert(m: BitMatrix) -> BitMatrix:
     """Inverse of a square matrix; raises SingularMatrixError if rank < n."""
     if m.rows != m.cols:
         raise ValueError(f"not square: {m.rows}x{m.cols}")
-    e = eliminate(m)
+    e = Elimination(m)
     if e.rank < m.rows:
         raise SingularMatrixError(f"rank {e.rank} < {m.rows}")
     # Full rank reduces m to the identity, so the record is the inverse.
     return BitMatrix(m.rows, m.cols, e.record)
-
-
-def kernel_basis(h: BitMatrix) -> list:
-    """Basis of {x : x @ h.T = 0}; size cols - rank(h)."""
-    return list(eliminate(h).kernel)
-
-
-def solve_affine(h: BitMatrix, target: BitVector, rng) -> BitVector:
-    """A uniformly random solution x of x @ h.T = target, reproducible given
-    the stream; raises InconsistentSystemError when no solution exists."""
-    return eliminate(h).solve(target, rng)
 
 
 def random_full_rank(rng, rows: int, cols: int) -> BitMatrix:
@@ -347,12 +324,5 @@ def random_full_rank(rng, rows: int, cols: int) -> BitMatrix:
         raise ValueError(f"rows {rows} > cols {cols}")
     while True:
         m = BitMatrix(rows, cols, tuple(rng.next_bits(cols) for _ in range(rows)))
-        if rank(m) == rows:
+        if Elimination(m).rank == rows:
             return m
-
-
-def random_invertible(rng, n: int) -> BitMatrix:
-    """Uniform invertible n x n matrix by rejection sampling."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return random_full_rank(rng, n, n)

@@ -253,7 +253,6 @@ def max_equivocation_loss(sigma_m_sq: float, sigma_w_sq: float) -> float:
     Evaluates the loss with i_x_zhat = I(X;W) at total variance
     sigma_m_sq + sigma_w_sq, the supremum over all A/D front ends.
     """
-    _check_variance("sigma_m_sq", sigma_m_sq, positive=True)
     return loss_curve(sigma_m_sq, [sigma_w_sq])[0].loss
 
 
@@ -301,6 +300,9 @@ def quantizer_sweep(sigma_m_sq: float, sigma_w_sq: float, levels_list) -> list:
             )
     sigma_tot_sq = sigma_m_sq + sigma_w_sq
     p, p_w = crossover_probabilities(AwgnSplitChannel(sigma_m_sq, sigma_w_sq))
+    # loss_curve's rule, checked after AwgnSplitChannel's so that a non-finite
+    # variance keeps its ">= 0" message.
+    _check_variance("sigma_w_sq", sigma_w_sq, positive=True)
     half_range = default_half_range(sigma_tot_sq)
     quantizers = [uniform_quantizer(levels, half_range) for levels in levels_list]
     i_hats = _quantized_mi_bits(sigma_tot_sq, quantizers)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coset import CosetCode, code_from_text, code_to_text, decode_ml, encode
-from .gf2 import BitMatrix, BitVector, invert, mat_mul, mat_vec_mul, random_invertible, xor_rows
+from .gf2 import BitMatrix, BitVector, invert, mat_mul, mat_vec_mul, random_full_rank, xor_rows
 
 __all__ = [
     "LpnParams",
@@ -152,7 +152,7 @@ def keygen(rng, params: LpnParams) -> LpnKey:
     code = registered_code(params.n, params.m)
     s_rows = tuple(rng.next_bits(params.n) for _ in range(params.k))
     s_matrix = BitMatrix.from_row_words(s_rows, params.n)
-    mixing = random_invertible(rng, params.m)
+    mixing = random_full_rank(rng, params.m, params.m)
     return LpnKey(s_matrix, mixing, invert(mixing), code)
 
 

@@ -188,6 +188,12 @@ def test_analysis_pinned_stdout(tmp_path, capsys):
         assert run(capsys, *argv) == (0, expected, ""), argv
 
 
+def test_equivocation_bad_p_w_names_the_option(capsys):
+    code, out, err = run(capsys, "equivocation", "--example1", "--p-w", "0.7")
+    assert (code, out) == (1, "")
+    assert "crossover probability --p-w must be in [0, 1/2], got 0.7" in err, err
+
+
 def test_equivocation_mc_requires_seed(capsys):
     code, out, err = run(
         capsys, "equivocation", "--example1", "--p-w", "0.25", "--mode", "mc"
@@ -253,6 +259,14 @@ def test_quantizer_sweep(tmp_path, capsys):
         "--levels", "2,4,8,16,32,64,128,256", "--out", str(again),
     )
     assert again.read_bytes() == out_file.read_bytes()
+
+
+def test_quantizer_sweep_rejects_zero_wiretap_variance(capsys):
+    code, out, err = run(
+        capsys, "quantizer-sweep", "--sigma-m-sq", "1", "--sigma-w-sq", "0", "--levels", "2"
+    )
+    assert (code, out) == (1, "")
+    assert "sigma_w_sq must be finite and > 0, got 0.0" in err, err
 
 
 def test_quantizer_sweep_rejects_odd_levels(capsys):
@@ -455,6 +469,21 @@ def test_lpn_message_errors_name_the_option(tmp_path, capsys):
         )
         assert (code, out) == (1, ""), message
         assert f"--message '{message}': not hex bytes" in err, err
+
+
+def test_lpn_message_of_wrong_byte_count_rejected(tmp_path, capsys):
+    # l = 4 packs into one byte: no byte, or a zero second byte, is rejected
+    # rather than read as 0 or 0b.
+    key = tmp_path / "key.txt"
+    run(capsys, "lpn", "keygen", "--params", "4,8,16,28,0.05", "--seed", SEED,
+        "--out", str(key))
+    for message, got in (("", 0), ("0b00", 2), ("000b", 2)):
+        code, out, err = run(
+            capsys, "lpn", "encrypt", "--key", str(key), "--message", message,
+            "--seed", SEED,
+        )
+        assert (code, out) == (1, ""), message
+        assert f"--message '{message}': 4 bits need 1 hex bytes, got {got}" in err, err
 
 
 def test_config_list_and_out_match_flags(tmp_path, capsys):

@@ -25,7 +25,7 @@ from wiretaplab.coset import (
     _lex_key,
     _posterior_entropy_bits,
 )
-from wiretaplab.gf2 import BitMatrix, BitVector, rank
+from wiretaplab.gf2 import BitMatrix, BitVector, Elimination
 from wiretaplab.infometrics import binary_entropy
 from wiretaplab.lpn import registered_code
 from wiretaplab.prng import prng_stream
@@ -202,7 +202,7 @@ def test_random_coset_code_always_full_rank():
     params = WiretapCodeParams(10, 6, 3, 3, 0.01)
     for _ in range(1000):
         code = random_coset_code(rng, params)
-        assert rank(code.h) == code.h.rows
+        assert Elimination(code.h).rank == code.h.rows
 
 
 def test_coset_code_rejects_rank_deficient():

@@ -1,6 +1,8 @@
 import importlib
+import importlib.util
 import pkgutil
 import types
+from pathlib import Path
 
 import wiretaplab
 
@@ -18,3 +20,21 @@ def test_package_exports_exactly_the_submodule_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == exported
+
+
+def test_bench_tracer_names_exist():
+    # bench/spans.py patches CLASS_METHODS on their classes (a missing one
+    # raises KeyError in a traced run) and wraps EXTRA functions by name (a
+    # missing one is skipped without a word), so a rename must update it.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for (layer, cls_name), methods in spans.CLASS_METHODS.items():
+        cls = getattr(importlib.import_module(f"wiretaplab.{layer}"), cls_name)
+        for method in methods:
+            assert method in cls.__dict__, (layer, cls_name, method)
+    for layer, names in spans.EXTRA.items():
+        module = importlib.import_module(f"wiretaplab.{layer}")
+        for name in names:
+            assert isinstance(module.__dict__.get(name), types.FunctionType), (layer, name)

@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 from wiretaplab.gf2 import (
     BitMatrix,
     BitVector,
+    Elimination,
     InconsistentSystemError,
     SingularMatrixError,
     invert,
-    kernel_basis,
     mat_mul,
     mat_vec_mul,
     random_full_rank,
-    random_invertible,
-    rank,
     row_parities,
-    solve_affine,
     xor_rows,
 )
 from wiretaplab.prng import prng_stream
@@ -61,15 +58,15 @@ def test_mat_vec_mul_dimension_mismatch():
 
 
 def test_rank_identity():
-    assert rank(BitMatrix.identity(4)) == 4
+    assert Elimination(BitMatrix.identity(4)).rank == 4
 
 
 def test_rank_zero():
-    assert rank(BitMatrix.zeros(3, 3)) == 0
+    assert Elimination(BitMatrix.zeros(3, 3)).rank == 0
 
 
 def test_rank_duplicate_rows():
-    assert rank(BitMatrix.from_rows([[1, 1], [1, 1]])) == 1
+    assert Elimination(BitMatrix.from_rows([[1, 1], [1, 1]])).rank == 1
 
 
 def test_invert_identity():
@@ -97,7 +94,7 @@ def test_invert_succeeds_iff_full_rank():
         m = BitMatrix.from_row_words(
             [rng.next_bits(5) for _ in range(5)], 5
         )
-        if rank(m) == 5:
+        if Elimination(m).rank == 5:
             assert mat_mul(invert(m), m) == BitMatrix.identity(5)
         else:
             with pytest.raises(SingularMatrixError):
@@ -106,19 +103,19 @@ def test_invert_succeeds_iff_full_rank():
 
 def test_solve_affine_unique_solution():
     target = BitVector.from_bits([1, 0, 1])
-    x = solve_affine(BitMatrix.identity(3), target, _rng("unique"))
+    x = Elimination(BitMatrix.identity(3)).solve(target, _rng("unique"))
     assert x == target
 
 
 def test_solve_affine_inconsistent():
     with pytest.raises(InconsistentSystemError):
-        solve_affine(BitMatrix.zeros(1, 3), BitVector.from_bits([1]), _rng("bad"))
+        Elimination(BitMatrix.zeros(1, 3)).solve(BitVector.from_bits([1]), _rng("bad"))
 
 
 def test_solve_affine_hamming_codeword():
     rng = _rng("hamming")
     for _ in range(50):
-        x = solve_affine(HAMMING_H, BitVector.zeros(3), rng)
+        x = Elimination(HAMMING_H).solve(BitVector.zeros(3), rng)
         assert mat_vec_mul(HAMMING_H, x) == BitVector.zeros(3)
 
 
@@ -130,9 +127,9 @@ def test_solve_affine_postcondition_random_systems():
         h = BitMatrix.from_row_words([rng.next_bits(cols) for _ in range(rows)], cols)
         target = BitVector(rows, rng.next_bits(rows))
         try:
-            x = solve_affine(h, target, rng)
+            x = Elimination(h).solve(target, rng)
         except InconsistentSystemError:
-            assert rank(h) < rows
+            assert Elimination(h).rank < rows
             continue
         assert mat_vec_mul(h, x) == target
 
@@ -143,7 +140,7 @@ def test_solve_affine_uniform_over_solution_set():
     draws = 10_000
     counts = {}
     for _ in range(draws):
-        x = solve_affine(HAMMING_H, BitVector.zeros(3), rng)
+        x = Elimination(HAMMING_H).solve(BitVector.zeros(3), rng)
         counts[x.bits] = counts.get(x.bits, 0) + 1
     assert len(counts) == 16
     expected = draws / 16
@@ -153,20 +150,20 @@ def test_solve_affine_uniform_over_solution_set():
 
 
 def test_kernel_basis_identity_empty():
-    assert kernel_basis(BitMatrix.identity(3)) == []
+    assert Elimination(BitMatrix.identity(3)).kernel == ()
 
 
 def test_kernel_basis_zero_row():
-    assert len(kernel_basis(BitMatrix.zeros(1, 3))) == 3
+    assert len(Elimination(BitMatrix.zeros(1, 3)).kernel) == 3
 
 
 def test_kernel_basis_hamming():
-    basis = kernel_basis(HAMMING_H)
+    basis = Elimination(HAMMING_H).kernel
     assert len(basis) == 4
     for v in basis:
         assert mat_vec_mul(HAMMING_H, v) == BitVector.zeros(3)
     stacked = BitMatrix.from_row_words([v.bits for v in basis], 7)
-    assert rank(stacked) == 4  # independent, spans the kernel
+    assert Elimination(stacked).rank == 4  # independent, spans the kernel
 
 
 def test_random_full_rank_one_by_one():
@@ -177,13 +174,13 @@ def test_random_full_rank_one_by_one():
 def test_random_full_rank_shape_and_rank():
     m = random_full_rank(_rng("3x7"), 3, 7)
     assert (m.rows, m.cols) == (3, 7)
-    assert rank(m) == 3
+    assert Elimination(m).rank == 3
 
 
 def test_random_full_rank_always_full_rank():
     rng = _rng("bulk")
     for _ in range(1000):
-        assert rank(random_full_rank(rng, 4, 8)) == 4
+        assert Elimination(random_full_rank(rng, 4, 8)).rank == 4
 
 
 def test_random_full_rank_rejects_tall():
@@ -192,18 +189,18 @@ def test_random_full_rank_rejects_tall():
 
 
 def test_random_invertible_one():
-    assert random_invertible(_rng("inv1"), 1) == BitMatrix.from_rows([[1]])
+    assert random_full_rank(_rng("inv1"), 1, 1) == BitMatrix.from_rows([[1]])
 
 
 def test_random_invertible_inverts():
-    m = random_invertible(_rng("inv8"), 8)
+    m = random_full_rank(_rng("inv8"), 8, 8)
     assert mat_mul(m, invert(m)) == BitMatrix.identity(8)
 
 
 def test_random_invertible_many_seeds():
     for i in range(100):
         rng = prng_stream(b"gf2-invertible-00", f"seed-{i}")
-        m = random_invertible(rng, 6)
+        m = random_full_rank(rng, 6, 6)
         assert mat_mul(m, invert(m)) == BitMatrix.identity(6)
 
 
@@ -345,18 +342,19 @@ def test_solve_affine_property(h, data):
     columns = _columns(h)
     solvable = _span_rank(columns + [target.bits]) == _span_rank(columns)
     if solvable:
-        assert mat_vec_mul(h, solve_affine(h, target, _rng("prop-solve"))) == target
+        assert mat_vec_mul(h, Elimination(h).solve(target, _rng("prop-solve"))) == target
     else:
         with pytest.raises(InconsistentSystemError):
-            solve_affine(h, target, _rng("prop-solve"))
+            Elimination(h).solve(target, _rng("prop-solve"))
 
 
 @settings(max_examples=200, deadline=None)
 @given(h=_matrices())
 def test_rank_nullity_property(h):
-    basis = kernel_basis(h)
-    assert rank(h) == _span_rank(h.row_words)
-    assert rank(h) + len(basis) == h.cols
+    elim = Elimination(h)
+    basis = elim.kernel
+    assert elim.rank == _span_rank(h.row_words)
+    assert elim.rank + len(basis) == h.cols
     assert _span_rank([v.bits for v in basis]) == len(basis)
     for v in basis:
         assert mat_vec_mul(h, v) == BitVector.zeros(h.rows)

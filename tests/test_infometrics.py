@@ -393,6 +393,11 @@ def test_max_equivocation_loss_requires_positive_variances():
         max_equivocation_loss(1.0, 0.0)
 
 
+def test_max_equivocation_loss_is_loss_curve_at_noiseless_main_channel():
+    # sigma_M^2 = 0 is the noiseless limit AwgnSplitChannel accepts (p = 0).
+    assert max_equivocation_loss(0.0, 1.0) == loss_curve(0.0, [1.0])[0].loss
+
+
 def test_loss_curve_single_point():
     (pt,) = loss_curve(1.0, [1.0])
     assert abs(pt.loss - LOSS_UNIT) < 1e-8
@@ -426,6 +431,13 @@ def test_quantizer_sweep_rows():
         assert loss >= last
         last = loss
     assert abs(rows[-1][2] - LOSS_UNIT) < 1e-3
+
+
+def test_quantizer_sweep_rejects_zero_wiretap_variance_as_loss_curve_does():
+    with pytest.raises(ValueError, match=r"sigma_w_sq must be finite and > 0, got 0.0"):
+        quantizer_sweep(1.0, 0.0, [2])
+    with pytest.raises(ValueError, match=r"sigma_w_sq must be finite and > 0, got 0.0"):
+        loss_curve(1.0, [0.0])
 
 
 def test_quantizer_sweep_rejects_odd_levels_before_any_work(monkeypatch):
