@@ -353,9 +353,11 @@ class EquivocationReport:
 def _xor_fold(w: np.ndarray, masks, a: float, b: float) -> np.ndarray:
     """w[u] <- a * w[u] + b * w[u ^ m] for each nonzero mask m in turn."""
     indices = np.arange(len(w), dtype=np.int64)
+    flipped = np.empty_like(indices)  # reused: a fresh index array per step is slower
     for m in masks:
         if m:  # a zero mask never moves the index
-            w = a * w + b * w[indices ^ m]
+            np.bitwise_xor(indices, m, out=flipped)
+            w = a * w + b * w[flipped]
     return w
 
 
