@@ -433,13 +433,6 @@ def test_quantizer_sweep_rows():
     assert abs(rows[-1][2] - LOSS_UNIT) < 1e-3
 
 
-def test_quantizer_sweep_rejects_zero_wiretap_variance_as_loss_curve_does():
-    with pytest.raises(ValueError, match=r"sigma_w_sq must be finite and > 0, got 0.0"):
-        quantizer_sweep(1.0, 0.0, [2])
-    with pytest.raises(ValueError, match=r"sigma_w_sq must be finite and > 0, got 0.0"):
-        loss_curve(1.0, [0.0])
-
-
 def test_quantizer_sweep_rejects_odd_levels_before_any_work(monkeypatch):
     calls = []
     monkeypatch.setattr(
