@@ -6,23 +6,16 @@ from .channels import (
     AwgnSplitChannel,
     Bsc,
     Quantizer,
-    bsc_concatenate,
-    bsc_transmit,
     crossover_probabilities,
     default_half_range,
-    degrading_channel,
     normal_cdf,
-    quantize,
-    transmit,
     uniform_quantizer,
 )
 from .coset import (
-    BlockErrorEstimate,
     CosetCode,
     EnumerationBudgetError,
     EquivocationReport,
     WiretapCodeParams,
-    block_error_rate,
     code_from_text,
     code_to_text,
     decode_ml,
@@ -48,18 +41,15 @@ from .gf2 import (
     xor_rows,
 )
 from .infometrics import (
-    DiscreteChannelSpec,
     LossCurvePoint,
     awgn_mutual_information,
     binary_entropy,
     equivocation_loss,
     loss_curve,
     max_equivocation_loss,
-    mutual_information_discrete,
     quantized_mutual_information,
     quantizer_sweep,
     secrecy_capacity_bsc,
-    secrecy_capacity_search,
 )
 from .lpn import (
     LpnCiphertext,

@@ -11,21 +11,13 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
-
-from .gf2 import BitVector
 
 __all__ = [
     "AwgnSplitChannel",
     "Bsc",
     "Quantizer",
     "crossover_probabilities",
-    "bsc_concatenate",
-    "degrading_channel",
-    "transmit",
-    "bsc_transmit",
-    "quantize",
     "uniform_quantizer",
     "default_half_range",
     "normal_cdf",
@@ -126,55 +118,6 @@ def crossover_probabilities(ch: AwgnSplitChannel) -> tuple:
         return normal_cdf(-1.0 / math.sqrt(variance))
 
     return crossover(ch.sigma_m_sq), crossover(ch.sigma_m_sq + ch.sigma_w_sq)
-
-
-def bsc_concatenate(p: float, p_y: float) -> float:
-    """Crossover of BSC(p) followed by BSC(p_y): p(1-p_y) + (1-p)p_y."""
-    _check_crossover("p", p)
-    _check_crossover("p_y", p_y)
-    return p * (1.0 - p_y) + (1.0 - p) * p_y
-
-
-def degrading_channel(p: float, p_w: float) -> Bsc:
-    """The BSC(p_y) whose concatenation after BSC(p) gives BSC(p_w).
-
-    Closed form p_y = (p_w - p) / (1 - 2p); requires p <= p_w < 1/2 (the
-    wiretap leg must be the degraded one).
-    """
-    _check_degraded(p, p_w)
-    if p_w == 0.5:
-        raise ValueError(f"crossover probability p_w must be < 1/2, got {p_w!r}")
-    if p == p_w:
-        return Bsc(0.0)
-    return Bsc((p_w - p) / (1.0 - 2.0 * p))
-
-
-def transmit(ch: AwgnSplitChannel, x: BitVector, rng) -> tuple:
-    """Send x through the split channel; returns analog (y, w) sample lists.
-
-    y_i = symbol(x_i) + N(0, sigma_m_sq) and w_i = y_i + N(0, sigma_w_sq),
-    all noise i.i.d. from rng.
-    """
-    sd_m = math.sqrt(ch.sigma_m_sq)
-    sd_w = math.sqrt(ch.sigma_w_sq)
-    y = []
-    w = []
-    for i in range(x.len):
-        symbol = 1.0 if x[i] else -1.0
-        yi = symbol + sd_m * rng.gaussian()
-        y.append(yi)
-        w.append(yi + sd_w * rng.gaussian())
-    return y, w
-
-
-def bsc_transmit(bsc: Bsc, x: BitVector, rng) -> BitVector:
-    """Flip each bit of x independently with probability bsc.p."""
-    return BitVector(x.len, x.bits ^ rng.bernoulli_word(x.len, bsc.p))
-
-
-def quantize(q: Quantizer, w: float) -> int:
-    """Index of the quantizer cell containing w."""
-    return bisect_left(q.thresholds, w)
 
 
 def uniform_quantizer(levels: int, half_range: float) -> Quantizer:

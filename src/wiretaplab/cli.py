@@ -148,6 +148,9 @@ def _read(path: str, parse):
 
 def _cmd_capacity(args) -> str:
     p, p_w = args.override_p, args.override_p_w
+    for flag, value in (("--override-p", p), ("--override-p-w", p_w)):
+        if value is not None:
+            _check_crossover(flag, value)
     if p is None or p_w is None:
         if args.sigma_m_sq is None or args.sigma_w_sq is None:
             raise ValueError(

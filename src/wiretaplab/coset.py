@@ -46,7 +46,6 @@ __all__ = [
     "WiretapCodeParams",
     "CosetCode",
     "EquivocationReport",
-    "BlockErrorEstimate",
     "EnumerationBudgetError",
     "params_from_channel",
     "random_coset_code",
@@ -54,7 +53,6 @@ __all__ = [
     "decode_ml",
     "exact_equivocation",
     "monte_carlo_equivocation",
-    "block_error_rate",
     "example1_code",
     "uncoded_code",
     "code_to_text",
@@ -457,32 +455,6 @@ def monte_carlo_equivocation(
         error_prob=math.nan,
         method="monte-carlo",
         stderr=stderr,
-    )
-
-
-class BlockErrorEstimate(NamedTuple):
-    """Block error point estimate with a two-sided 95% normal interval."""
-
-    estimate: float
-    ci_low: float
-    ci_high: float
-
-
-def block_error_rate(code: CosetCode, main: Bsc, trials: int, rng) -> BlockErrorEstimate:
-    """Fraction of (random message, ML decode) trials over BSC(main.p) that fail."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    errors = 0
-    for _ in range(trials):
-        s = BitVector(code.k_msg, rng.next_bits(code.k_msg))
-        x = encode(code, s, rng)
-        y = BitVector(code.n, x.bits ^ rng.bernoulli_word(code.n, main.p))
-        if decode_ml(code, y, main.p) != s:
-            errors += 1
-    estimate = errors / trials
-    half = 1.96 * math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
-    return BlockErrorEstimate(
-        estimate, max(estimate - half, 0.0), min(estimate + half, 1.0)
     )
 
 

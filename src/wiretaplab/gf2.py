@@ -164,9 +164,6 @@ class BitMatrix:
             raise IndexError(rc)
         return (self.row_words[r] >> c) & 1
 
-    def row(self, r: int) -> BitVector:
-        return BitVector(self.cols, self.row_words[r])
-
     def transpose(self) -> "BitMatrix":
         words = [0] * self.cols
         for r, w in enumerate(self.row_words):

@@ -1,12 +1,14 @@
 """Entropy, mutual information and equivocation-loss computations.
 
-Covers the closed-form secrecy capacity of a degraded BSC pair, mutual
-information of arbitrary finite channels, the information I(X;W) an
-unquantized eavesdropper gets (a one-dimensional Gaussian expectation,
-evaluated by the trapezoid rule), and the equivocation lost when the
-eavesdropper's A/D front end is finer than the two-level one the code was
-designed against.  Quantized information takes its cell probabilities from
-Gaussian tails, for all quantizers of a sweep in one numpy pass.
+Covers the closed-form secrecy capacity of a degraded BSC pair, the
+information I(X;W) an unquantized eavesdropper gets (a one-dimensional
+Gaussian expectation, evaluated by the trapezoid rule), and the equivocation
+lost when the eavesdropper's A/D front end is finer than the two-level one
+the code was designed against.  Quantized information takes its cell
+probabilities from Gaussian tails, for all quantizers of a sweep in one numpy
+pass.  The independent references these are checked against (discrete mutual
+information of a finite channel, a grid search for the secrecy capacity) live
+in the tests.
 
 All logarithms are base 2; entropies are in bits.
 """
@@ -30,12 +32,9 @@ from .channels import (
 )
 
 __all__ = [
-    "DiscreteChannelSpec",
     "LossCurvePoint",
     "binary_entropy",
-    "mutual_information_discrete",
     "secrecy_capacity_bsc",
-    "secrecy_capacity_search",
     "awgn_mutual_information",
     "quantized_mutual_information",
     "equivocation_loss",
@@ -60,90 +59,10 @@ def _entropy_bits(dist: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-class DiscreteChannelSpec:
-    """Input distribution plus row-stochastic transition matrix P(out|in)."""
-
-    def __init__(self, input_dist, transition):
-        self.input_dist = np.asarray(input_dist, dtype=float)
-        self.transition = np.asarray(transition, dtype=float)
-        if self.input_dist.ndim != 1 or self.transition.ndim != 2:
-            raise ValueError("input_dist must be 1-D and transition 2-D")
-        if self.transition.shape[0] != self.input_dist.shape[0]:
-            raise ValueError("transition rows must match input alphabet size")
-        if (self.input_dist < 0).any() or (self.transition < 0).any():
-            raise ValueError("probabilities must be >= 0")
-        if abs(self.input_dist.sum() - 1.0) > 1e-12:
-            raise ValueError("input_dist must sum to 1")
-        row_err = np.abs(self.transition.sum(axis=1) - 1.0).max()
-        if row_err > 1e-12:
-            raise ValueError(f"transition rows must sum to 1 (off by {row_err:.3g})")
-
-
-def mutual_information_discrete(spec: DiscreteChannelSpec) -> float:
-    """I(input; output) = H(output) - H(output | input) in bits."""
-    p_out = spec.input_dist @ spec.transition
-    h_cond = sum(
-        px * _entropy_bits(row) for px, row in zip(spec.input_dist, spec.transition)
-    )
-    mi = _entropy_bits(p_out) - h_cond
-    if mi < 0:
-        if mi < -1e-12:
-            raise AssertionError(f"negative mutual information: {mi}")
-        mi = 0.0
-    return mi
-
-
 def secrecy_capacity_bsc(p: float, p_w: float) -> float:
     """h(p_w) - h(p) for a degraded BSC pair (uniform input is optimal)."""
     _check_degraded(p, p_w)
     return binary_entropy(p_w) - binary_entropy(p)
-
-
-def secrecy_capacity_search(main_transition, wiretap_transition, grid_step: float = 1e-3) -> tuple:
-    """Maximize I(X;Y) - I(X;Z) over Bernoulli(q) inputs on a binary alphabet.
-
-    Sweeps q over a grid of the given step, then refines around the grid
-    argmax with golden-section search.  Returns (capacity, input_dist).
-    """
-    if not 0.0 < grid_step < 0.5:
-        raise ValueError("grid_step must be in (0, 0.5)")
-    main = np.asarray(main_transition, dtype=float)
-    wiretap = np.asarray(wiretap_transition, dtype=float)
-    if main.shape[0] != 2 or wiretap.shape[0] != 2:
-        raise ValueError("binary input alphabet required")
-
-    def objective(q: float) -> float:
-        dist = (1.0 - q, q)
-        i_main = mutual_information_discrete(DiscreteChannelSpec(dist, main))
-        i_wire = mutual_information_discrete(DiscreteChannelSpec(dist, wiretap))
-        return i_main - i_wire
-
-    grid = [min(i * grid_step, 1.0) for i in range(int(1.0 / grid_step) + 1)]
-    if grid[-1] < 1.0:
-        grid.append(1.0)
-    best_q = max(grid, key=objective)
-
-    # Golden-section pass on the bracket around the grid winner.
-    lo = max(0.0, best_q - grid_step)
-    hi = min(1.0, best_q + grid_step)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(80):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-    q = (a + b) / 2.0
-    candidates = [(objective(q), q), (fc, c), (fd, d), (objective(best_q), best_q)]
-    value, q = max(candidates)
-    return value, (1.0 - q, q)
 
 
 def awgn_mutual_information(sigma_tot_sq: float, tol: float = 1e-9) -> float:

@@ -1,5 +1,6 @@
 import math
 import re
+from bisect import bisect_left
 
 import pytest
 
@@ -7,14 +8,9 @@ from wiretaplab.channels import (
     AwgnSplitChannel,
     Bsc,
     Quantizer,
-    bsc_concatenate,
-    bsc_transmit,
     crossover_probabilities,
     default_half_range,
-    degrading_channel,
     normal_cdf,
-    quantize,
-    transmit,
     uniform_quantizer,
 )
 from wiretaplab.coset import decode_ml, example1_code, params_from_channel
@@ -75,66 +71,11 @@ def test_awgn_split_channel_rejects_non_finite_or_negative(bad):
         AwgnSplitChannel(1.0, bad)
 
 
-def test_bsc_concatenate_identity_and_absorbing():
-    assert bsc_concatenate(0.3, 0.0) == 0.3
-    assert bsc_concatenate(0.3, 0.5) == 0.5
-    assert abs(bsc_concatenate(0.1, 0.1) - 0.18) < 1e-15
-
-
-def test_bsc_concatenate_symmetric_in_range():
-    rng = _rng("concat")
-    for _ in range(100):
-        a = rng.next_bits(20) / (1 << 21)
-        b = rng.next_bits(20) / (1 << 21)
-        out = bsc_concatenate(a, b)
-        assert out == bsc_concatenate(b, a)
-        assert 0.0 <= out <= 0.5
-
-
-def test_bsc_concatenate_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        bsc_concatenate(0.7, 0.1)
-
-
-def test_degrading_channel_inverse_of_concat():
-    assert abs(degrading_channel(0.1, 0.18).p - 0.1) < 1e-12
-    assert degrading_channel(0.3, 0.3).p == 0.0
-
-
-def test_degrading_channel_unit_operating_point():
-    bsc = degrading_channel(P_UNIT, P_W_UNIT)
-    assert abs(bsc.p - 0.11878724968823105) < 1e-12
-    assert abs(bsc_concatenate(P_UNIT, bsc.p) - P_W_UNIT) < 1e-12
-
-
-def test_degrading_channel_roundtrip_random():
-    rng = _rng("roundtrip")
-    for _ in range(200):
-        p = rng.next_bits(20) / (1 << 21)
-        p_y = rng.next_bits(20) / (1 << 21)
-        p_w = bsc_concatenate(p, p_y)
-        assert abs(degrading_channel(p, p_w).p - p_y) < 1e-12
-
-
-def test_degrading_channel_rejects_ordering():
-    with pytest.raises(ValueError):
-        degrading_channel(0.2, 0.1)
-
-
-def test_degrading_channel_rejects_half_noise_wiretap():
-    with pytest.raises(ValueError, match="p_w must be < 1/2, got 0.5"):
-        degrading_channel(0.1, 0.5)
-
-
 @pytest.mark.parametrize("bad", [math.nan, -0.1, 0.6])
 @pytest.mark.parametrize(
     "name, call",
     [
         pytest.param("p", lambda v: Bsc(v), id="Bsc"),
-        pytest.param("p", lambda v: bsc_concatenate(v, 0.1), id="bsc_concatenate-p"),
-        pytest.param("p_y", lambda v: bsc_concatenate(0.1, v), id="bsc_concatenate-p_y"),
-        pytest.param("p", lambda v: degrading_channel(v, 0.3), id="degrading_channel-p"),
-        pytest.param("p_w", lambda v: degrading_channel(0.1, v), id="degrading_channel-p_w"),
         pytest.param(
             "p", lambda v: decode_ml(example1_code(), BitVector.zeros(2), v), id="decode_ml"
         ),
@@ -153,6 +94,29 @@ def test_crossover_entry_points_reject_out_of_range(name, call, bad):
     message = f"crossover probability {name} must be in [0, 1/2], got {bad!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         call(bad)
+
+
+def transmit(ch, x, rng):
+    """Send x through the split channel; returns analog (y, w) sample lists.
+
+    y_i = symbol(x_i) + N(0, sigma_m_sq) and w_i = y_i + N(0, sigma_w_sq),
+    all noise i.i.d. from rng.
+    """
+    sd_m = math.sqrt(ch.sigma_m_sq)
+    sd_w = math.sqrt(ch.sigma_w_sq)
+    y = []
+    w = []
+    for i in range(x.len):
+        symbol = 1.0 if x[i] else -1.0
+        yi = symbol + sd_m * rng.gaussian()
+        y.append(yi)
+        w.append(yi + sd_w * rng.gaussian())
+    return y, w
+
+
+def quantize(q, w):
+    """Index of the quantizer cell containing w."""
+    return bisect_left(q.thresholds, w)
 
 
 def test_transmit_noiseless_maps_symbols():
@@ -175,21 +139,6 @@ def test_transmit_moments():
     assert abs(mean) < 4 / math.sqrt(n)  # 4 sigma of the sample mean
     var_total = sum(v * v for v in total_noise) / n
     assert abs(var_total - 2.0) < 0.05 * 2.0
-
-
-def test_bsc_transmit_noiseless():
-    x = BitVector.from_bits([1, 0, 1])
-    assert bsc_transmit(Bsc(0.0), x, _rng("bsc0")) == x
-
-
-def test_bsc_transmit_flip_fractions():
-    rng = _rng("bscflip")
-    n = 100_000
-    x = BitVector(n, rng.next_bits(n))
-    for p in (0.5, 0.25):
-        out = bsc_transmit(Bsc(p), x, rng)
-        flips = (out.bits ^ x.bits).bit_count()
-        assert abs(flips / n - p) < 0.01
 
 
 def test_bsc_rejects_large_p():

@@ -40,6 +40,20 @@ def test_capacity_override_flags(capsys):
     assert abs(c_s - 0.8113) < 1e-4
 
 
+def test_capacity_bad_override_p_names_the_option(capsys):
+    code, out, err = run(capsys, "capacity", "--override-p", "0.7", "--override-p-w", "0.3")
+    assert (code, out) == (1, "")
+    assert "crossover probability --override-p must be in [0, 1/2], got 0.7" in err, err
+
+
+def test_capacity_bad_override_p_w_names_the_option(capsys):
+    code, out, err = run(
+        capsys, "capacity", "--sigma-m-sq", "1", "--sigma-w-sq", "1", "--override-p-w", "nan"
+    )
+    assert (code, out) == (1, "")
+    assert "crossover probability --override-p-w must be in [0, 1/2], got nan" in err, err
+
+
 def test_capacity_missing_inputs(capsys):
     code, out, err = run(capsys, "capacity")
     assert code == 1

