@@ -141,6 +141,18 @@ def test_transmit_moments():
     assert abs(var_total - 2.0) < 0.05 * 2.0
 
 
+def test_bsc_transmit_flip_fractions():
+    # A BSC output is x ^ bernoulli_word(n, p), as the coset sampler and LPN
+    # encryption draw it.
+    rng = _rng("bscflip")
+    n = 100_000
+    x = BitVector(n, rng.next_bits(n))
+    for p in (0.5, 0.25):
+        out = x.bits ^ rng.bernoulli_word(n, Bsc(p).p)
+        flips = (out ^ x.bits).bit_count()
+        assert abs(flips / n - p) < 0.01
+
+
 def test_bsc_rejects_large_p():
     with pytest.raises(ValueError):
         Bsc(0.6)

@@ -62,9 +62,8 @@ def test_next_bits_width():
 def test_bernoulli_frequency():
     rng = prng_stream(SEED, "bern")
     draws = 100_000
-    for p in (0.25, 0.5):
-        ones = sum(rng.bernoulli(p) for _ in range(draws))
-        assert abs(ones / draws - p) < 0.01
+    ones = sum(rng.bernoulli(0.25) for _ in range(draws))
+    assert abs(ones / draws - 0.25) < 0.01
 
 
 def test_bernoulli_extremes():
