@@ -53,11 +53,11 @@ def _csv(header: str, rows) -> str:
 
 
 def _parse_seed(text: str):
+    """The stream of a --seed value; an error names the option."""
     try:
-        seed = bytes.fromhex(text)
+        return prng_stream(bytes.fromhex(text))
     except ValueError as exc:
-        raise ValueError(f"seed must be hex: {exc}") from exc
-    return prng_stream(seed)
+        raise ValueError(f"--seed {text!r}: {exc}") from exc
 
 
 def _number(text: str, cast):
@@ -181,6 +181,9 @@ def _cmd_equivocation(args) -> str:
     if args.mode == "exact":
         report = exact_equivocation(code, Bsc(p_w))
     else:
+        for flag, value in (("--samples", args.samples), ("--workers", args.workers)):
+            if value < 1:
+                raise ValueError(f"{flag} must be >= 1, got {value}")
         seed = _parse_seed(_required(args, "seed"))
         report = monte_carlo_equivocation(
             code, Bsc(p_w), args.samples, seed, workers=args.workers

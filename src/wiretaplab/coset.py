@@ -17,7 +17,10 @@ O((n + k_msg) * 2^(n - k_coarse)) instead of enumerating outputs against
 codewords.  The Monte Carlo estimator samples outputs and evaluates the same
 posterior by direct enumeration of the fine code, over bounded batches of
 samples: the likelihood of each fine-code word is read from a table of the
-n + 1 BSC weights p^d (1-p)^(n-d), built once per call.
+n + 1 BSC weights p^d (1-p)^(n-d), built once per call.  Its samples are drawn
+in blocks: one stream call per block, its message, coset and noise bits sliced
+in numpy, with prng's Bernoulli threshold applied to every noise chunk at once;
+each sample gets the bits a draw at a time would give it.
 
 Bob's ML decoder is syndrome decoding: a table of minimal-weight coset
 leaders of the fine code, indexed by the zero-block syndrome and built once
@@ -41,6 +44,7 @@ from .gf2 import (
     BitMatrix, BitVector, Elimination, mat_vec_mul, random_full_rank, row_parities, xor_rows
 )
 from .infometrics import _entropy_bits, binary_entropy
+from .prng import _bernoulli_threshold
 
 __all__ = [
     "WiretapCodeParams",
@@ -73,6 +77,12 @@ MAX_LEADER_PATTERNS = 1 << 16
 # budget is no faster at k_fine = 8 or 16 and holds four times the memory; it
 # is ~10% faster only at k_fine = 12..14.
 _POSTERIOR_BATCH_WORDS = 1 << 14
+
+# Bit budget of one Monte Carlo stream draw: a block of 2^16 // (k_fine + 32n)
+# samples (84 of a (24, 8, 4) code) is 8 KiB packed and 64 KiB unpacked however
+# many samples a call makes.  It is not the posterior batch, which is one
+# sample at k_fine >= 14, where a stream call per sample is the cost it saves.
+_SAMPLE_BLOCK_BITS = 1 << 16
 
 EQUIVOCATION_CSV_HEADER = "equivocation,rate,error_prob,method,stderr"
 
@@ -404,16 +414,46 @@ def _posterior_entropy_bits(code: CosetCode, z: np.ndarray, table: np.ndarray) -
     return np.array([_entropy_bits(row) for row in posterior])
 
 
-def _sample_outputs(code: CosetCode, p: float, samples: int, rng, workers: int):
-    """Eavesdropper outputs x ^ noise, worker substream by worker substream."""
-    words = code._fine_words
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Each row of a 0/1 array of at most 64 columns as a uint64, column 0 lowest."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((len(bits), 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view("<u8")[:, 0]
+
+
+def _sample_outputs(code: CosetCode, p: float, samples: int, rng, workers: int) -> np.ndarray:
+    """Eavesdropper outputs x ^ noise, worker substream by worker substream.
+
+    Sample j of a worker reads the stream bits [s | c | n 32-bit chunks], as
+    next_bits(k_msg), next_bits(k_coarse) and bernoulli_word(n, p) would in
+    turn; a block of samples takes its bits in one next_bits call, and noise
+    bit i is set where chunk i is below prng's Bernoulli threshold.  A worker
+    with no samples derives no substream.
+    """
+    n, k_msg, k_fine = code.n, code.k_msg, code.k_fine
+    threshold = np.uint64(_bernoulli_threshold(p))
+    width = k_fine + 32 * n
+    block = max(1, _SAMPLE_BLOCK_BITS // width)
+    out = np.empty(samples, dtype=np.uint64)
     base, extra = divmod(samples, workers)
-    for worker in range(workers):
+    stop = 0
+    for worker in range(min(workers, samples)):
         stream = rng.substream(f"worker-{worker}")
-        for _ in range(base + (1 if worker < extra else 0)):
-            s = stream.next_bits(code.k_msg)
-            x = int(words[(s << code.k_coarse) | stream.next_bits(code.k_coarse)])
-            yield x ^ stream.bernoulli_word(code.n, p)
+        start, stop = stop, stop + base + (worker < extra)
+        for lo in range(start, stop, block):
+            count = min(block, stop - lo)
+            raw = stream.next_bits(count * width).to_bytes((count * width + 7) // 8, "little")
+            bits = np.unpackbits(
+                np.frombuffer(raw, dtype=np.uint8), count=count * width, bitorder="little"
+            ).reshape(count, width)
+            chunks = np.packbits(
+                bits[:, k_fine:].reshape(count, n, 32), axis=2, bitorder="little"
+            ).view("<u4")[:, :, 0]
+            # Word index s << k_coarse | c: the bits of c, then those of s.
+            index = _pack_rows(np.concatenate((bits[:, k_msg:k_fine], bits[:, :k_msg]), axis=1))
+            out[lo : lo + count] = code._fine_words[index] ^ _pack_rows(chunks < threshold)
+    return out
 
 
 def monte_carlo_equivocation(
@@ -442,8 +482,9 @@ def monte_carlo_equivocation(
     outputs = _sample_outputs(code, p, samples, rng, workers)
     per_sample = np.empty(samples, dtype=float)
     for start in range(0, samples, batch):
-        z = np.fromiter(outputs, dtype=np.uint64, count=min(batch, samples - start))
-        per_sample[start : start + len(z)] = _posterior_entropy_bits(code, z, table)
+        per_sample[start : start + batch] = _posterior_entropy_bits(
+            code, outputs[start : start + batch], table
+        )
     per_sample /= code.k_msg
     mean = float(per_sample.mean())
     stderr = (

@@ -20,6 +20,15 @@ _MIN_SEED_BYTES = 16
 _STD_NORMAL = NormalDist()
 
 
+def _bernoulli_threshold(p: float) -> int:
+    """round(p * 2**32): a 32-bit chunk below it is a Bernoulli(p) 1.  The
+    fixed-point threshold keeps draws exactly reproducible across platforms;
+    every Bernoulli draw in the package, single or in bulk, compares to it."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p out of range: {p}")
+    return round(p * 4294967296.0)
+
+
 class PrngStream:
     """SHA-256 counter-mode bit stream; single-owner, stateful."""
 
@@ -51,11 +60,8 @@ class PrngStream:
 
     def bernoulli_word(self, n: int, p: float) -> int:
         """n Bernoulli(p) draws packed LSB-first: bit i is 1 when the i-th next
-        32-bit chunk is below round(p * 2**32), a fixed-point threshold that
-        keeps the draws exactly reproducible across platforms."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p out of range: {p}")
-        threshold = round(p * 4294967296.0)
+        32-bit chunk is below _bernoulli_threshold(p)."""
+        threshold = _bernoulli_threshold(p)
         chunks = struct.iter_unpack("<I", self.next_bits(32 * n).to_bytes(4 * n, "little"))
         flags = "".join("1" if c < threshold else "0" for (c,) in chunks)
         return int(flags[::-1] or "0", 2)

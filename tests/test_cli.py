@@ -208,6 +208,32 @@ def test_equivocation_bad_p_w_names_the_option(capsys):
     assert "crossover probability --p-w must be in [0, 1/2], got 0.7" in err, err
 
 
+MC_ARGV = ("equivocation", "--example1", "--p-w", "0.25", "--mode", "mc", "--seed", SEED)
+
+
+def test_equivocation_bad_samples_names_the_option(capsys):
+    assert run(capsys, *MC_ARGV, "--samples", "0") == (
+        1, "", "wiretaplab: error: --samples must be >= 1, got 0\n"
+    )
+
+
+def test_equivocation_bad_workers_names_the_option(capsys):
+    assert run(capsys, *MC_ARGV, "--workers", "0") == (
+        1, "", "wiretaplab: error: --workers must be >= 1, got 0\n"
+    )
+
+
+def test_short_seed_names_the_option(capsys):
+    # equivocation and lpn keygen/encrypt read --seed through one parser.
+    for argv in (
+        MC_ARGV,
+        ("lpn", "keygen", "--params", "4,8,16,28,0.05", "--seed", SEED),
+    ):
+        assert run(capsys, *argv[:-1], "0011") == (
+            1, "", "wiretaplab: error: --seed '0011': seed must be >= 16 bytes, got 2\n"
+        ), argv
+
+
 def test_equivocation_mc_requires_seed(capsys):
     code, out, err = run(
         capsys, "equivocation", "--example1", "--p-w", "0.25", "--mode", "mc"

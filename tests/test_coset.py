@@ -28,7 +28,7 @@ from wiretaplab.coset import (
 from wiretaplab.gf2 import BitMatrix, BitVector, Elimination
 from wiretaplab.infometrics import binary_entropy
 from wiretaplab.lpn import registered_code
-from wiretaplab.prng import prng_stream
+from wiretaplab.prng import PrngStream, prng_stream
 
 P_UNIT = 0.15865525393145707
 P_W_UNIT = 0.23975006109347674
@@ -616,6 +616,97 @@ def test_monte_carlo_within_four_stderr_of_exact(code, p):
     # A code whose per-sample entropy is constant has a stderr at float-noise
     # level; the 1e-12 floor covers the summation error of the two methods.
     assert abs(report.equivocation - exact) <= 4 * report.stderr + 1e-12
+
+
+def _per_sample_outputs(code, p, samples, rng, workers):
+    """Eavesdropper outputs drawn one sample at a time, three stream calls each:
+    the sampler the block draws replaced, kept as their reference."""
+    words = code._fine_words
+    base, extra = divmod(samples, workers)
+    for worker in range(workers):
+        stream = rng.substream(f"worker-{worker}")
+        for _ in range(base + (1 if worker < extra else 0)):
+            s = stream.next_bits(code.k_msg)
+            x = int(words[(s << code.k_coarse) | stream.next_bits(code.k_coarse)])
+            yield x ^ stream.bernoulli_word(code.n, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    code=_small_codes(),
+    p=st.sampled_from([0.0, 1e-300, 0.01, 0.2, 0.5]),
+    samples=st.integers(1, 300),
+    workers=st.integers(1, 5),
+)
+@example(code=_hamming_full_message_code(), p=0.2, samples=300, workers=1)  # k_coarse = 0
+def test_block_sampler_equals_per_sample_reference(code, p, samples, workers):
+    # A block holds 2^16 // (k_fine + 32n) samples, 165..1985 here, so a call
+    # can end mid-block, and workers can outnumber samples.
+    outputs = coset._sample_outputs(code, p, samples, _rng("sampler"), workers)
+    reference = _per_sample_outputs(code, p, samples, _rng("sampler"), workers)
+    assert outputs.tolist() == list(reference)
+
+
+def test_block_sampler_equals_reference_across_blocks():
+    code = _random_code("pin-k8", 24, 8, 4)  # 84 samples a block
+    for workers in (1, 3):
+        outputs = coset._sample_outputs(code, P_W_PIN, 1000, _rng("sampler-k8"), workers)
+        reference = _per_sample_outputs(code, P_W_PIN, 1000, _rng("sampler-k8"), workers)
+        assert outputs.tolist() == list(reference)
+
+
+class _FixedBits(PrngStream):
+    """Stream whose bits are those of `bits`, LSB first; each substream restarts them."""
+
+    def __init__(self, bits):
+        super().__init__(b"")
+        self._bits = bits
+
+    def next_bits(self, count):
+        out, self._bits = self._bits & ((1 << count) - 1), self._bits >> count
+        return out
+
+    def substream(self, label):
+        return _FixedBits(self._bits)
+
+
+def test_block_sampler_threshold_boundary():
+    # Noise chunks one below, at and one above the threshold: only the first
+    # sets a noise bit, in the block sampler as in bernoulli_word.
+    code = example1_code()  # two stream bits [s | c], then two noise chunks
+    threshold = round(0.25 * 2**32)
+    bits = pos = 0
+    for j in range(12):
+        for field, width in ((j & 1, 1), ((j >> 1) & 1, 1), (threshold - 1 + j % 3, 32),
+                             (threshold - 1 + (j + 1) % 3, 32)):
+            bits |= field << pos
+            pos += width
+    outputs = coset._sample_outputs(code, 0.25, 12, _FixedBits(bits), 2)
+    reference = _per_sample_outputs(code, 0.25, 12, _FixedBits(bits), 2)
+    assert outputs.tolist() == list(reference)
+
+
+class _CountingRng:
+    """A stream that counts the worker substreams derived from it."""
+
+    def __init__(self, label):
+        self.rng = _rng(label)
+        self.substreams = 0
+
+    def substream(self, label):
+        self.substreams += 1
+        return self.rng.substream(label)
+
+
+@pytest.mark.parametrize("workers, samples", [(10**6, 3), (5, 2), (2, 5), (3, 3)])
+def test_workers_without_samples_derive_no_substream(workers, samples):
+    rng = _CountingRng("lazy-workers")
+    report = monte_carlo_equivocation(example1_code(), Bsc(0.2), samples, rng, workers)
+    assert rng.substreams == min(workers, samples)
+    if workers > samples:
+        assert report == monte_carlo_equivocation(
+            example1_code(), Bsc(0.2), samples, _rng("lazy-workers"), samples
+        )
 
 
 def test_monte_carlo_budget_and_validation():
