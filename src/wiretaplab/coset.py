@@ -12,13 +12,15 @@ XORs, and the fine-code table is built by doubling over the same generators.
 
 Equivocation H(S|Z)/K against a BSC eavesdropper is computed exactly by
 collapsing the 2^n output space onto syndrome classes: the noise distribution
-is pushed through the syndrome map coordinate by coordinate, which costs
-O((n + k_msg) * 2^(n - k_coarse)) instead of enumerating outputs against
-codewords.  The Monte Carlo estimator samples outputs and evaluates the same
-posterior by direct enumeration of the fine code, over bounded batches of
-samples: the likelihood of each fine-code word is read from a table of the
-n + 1 BSC weights p^d (1-p)^(n-d), built once per call.  Its samples are drawn
-in blocks: one stream call per block, its message, coset and noise bits sliced
+is pushed through the syndrome map coordinate by coordinate, in syndromes
+relabelled by the parity-check matrix's elimination so that a pivot column
+only doubles the support.  That costs about 2^(n - k_coarse) times (non-pivot
+columns + a few passes) instead of enumerating outputs against codewords.
+The Monte Carlo estimator samples outputs and evaluates the same posterior by
+direct enumeration of the fine code, over bounded batches of samples: the
+likelihood of each fine-code word is read from a table of the n + 1 BSC
+weights p^d (1-p)^(n-d), built once per call.  Its samples are drawn in
+blocks: one stream call per block, its message, coset and noise bits sliced
 in numpy, with prng's Bernoulli threshold applied to every noise chunk at once;
 each sample gets the bits a draw at a time would give it.
 
@@ -63,9 +65,11 @@ __all__ = [
     "code_from_text",
 ]
 
-# Enumeration budgets: exact equivocation walks 2^(n - k_coarse) syndrome
-# classes n times; decoding and per-sample posteriors walk 2^k_fine codewords.
-MAX_EXACT_N = 24
+# Enumeration budgets: exact equivocation walks its 2^(n - k_coarse) syndrome
+# classes about (non-pivot columns + a few) times, so it is capped by its
+# syndrome rows; decoding and per-sample posteriors walk 2^k_fine codewords.
+# Words and columns pack into 64-bit integers, so every budget keeps n <= 63.
+MAX_EXACT_ROWS = 24
 MAX_ENUM_K_FINE = 20
 # Coset-leader table budget: error patterns enumerated (by weight) to fill the
 # syndrome table; past it, decoding falls back to enumerating the fine code.
@@ -141,13 +145,21 @@ def params_from_channel(n: int, p: float, p_w: float, epsilon: float) -> Wiretap
     return WiretapCodeParams(n, k_fine, k_coarse, k_fine - k_coarse, epsilon)
 
 
-def _check_enumeration_budget(code: "CosetCode", max_n: int = 63) -> None:
+def _check_enumeration_budget(code: "CosetCode", exact: bool = False) -> None:
     """Fine-code enumeration packs words into uint64 (n <= 63) and walks 2^k_fine
-    of them; exact equivocation passes max_n = MAX_EXACT_N."""
-    if code.n > max_n or code.k_fine > MAX_ENUM_K_FINE:
+    of them.  Exact equivocation (exact=True) walks 2^(n - k_coarse) syndrome
+    classes about (non-pivot columns + a few) times, so its budget is on the
+    syndrome rows n - k_coarse; k_fine does not enter its cost."""
+    if exact:
+        over = code.h.rows > MAX_EXACT_ROWS
+        budget = f"n - k_coarse <= {MAX_EXACT_ROWS} syndrome rows"
+        got = f"{code.h.rows} rows"
+    else:
+        over = code.k_fine > MAX_ENUM_K_FINE
+        budget, got = f"k_fine <= {MAX_ENUM_K_FINE}", f"k_fine={code.k_fine}"
+    if code.n > 63 or over:
         raise EnumerationBudgetError(
-            f"enumeration budget is n <= {max_n} and k_fine <= {MAX_ENUM_K_FINE}; "
-            f"got n={code.n}, k_fine={code.k_fine}"
+            f"enumeration budget is n <= 63 and {budget}; got n={code.n}, {got}"
         )
 
 
@@ -358,15 +370,46 @@ class EquivocationReport:
         )
 
 
-def _xor_fold(w: np.ndarray, masks, a: float, b: float) -> np.ndarray:
-    """w[u] <- a * w[u] + b * w[u ^ m] for each nonzero mask m in turn."""
+def _syndrome_weights(code: CosetCode, p: float) -> np.ndarray:
+    """W[u] = sum over noise patterns e with e @ h.T = u of p^wt(e) (1-p)^(n-wt).
+
+    The noise is pushed through h column by column, each step being
+    W[u] <- (1-p) W[u] + p W[u ^ column].  The steps run on W'[A.u] = W[u],
+    A the code's elimination record, in which the i-th pivot column is the
+    unit 1 << i and every column before it lies below that unit.  So W' is
+    zero past its first 2^i entries until that pivot: a pivot step only
+    doubles the support (each of its sums adds an exact +0.0), and a
+    non-pivot step gathers within it.  Every float is the one the step over
+    all of W computes.
+    """
+    record = code._elimination.record
+    q = 1.0 - p
+    w = np.zeros(1 << code.h.rows, dtype=float)
+    w[0] = 1.0
     indices = np.arange(len(w), dtype=np.int64)
     flipped = np.empty_like(indices)  # reused: a fresh index array per step is slower
-    for m in masks:
-        if m:  # a zero mask never moves the index
-            np.bitwise_xor(indices, m, out=flipped)
-            w = a * w + b * w[flipped]
-    return w
+    size = 1
+    for column in code._columns:
+        m = row_parities(record, column)
+        if m == size:
+            np.multiply(w[:size], p, out=w[size : 2 * size])
+            w[:size] *= q
+            size *= 2
+        elif m:  # a zero column never moves the syndrome
+            np.bitwise_xor(indices[:size], m, out=flipped[:size])
+            block = w[:size]
+            moved = block[flipped[:size]]
+            block *= q
+            moved *= p
+            block += moved
+    # Back to h's syndromes, W[u] = W'[A.u], with A.u doubled over A's columns
+    # in the spent index buffer.
+    relabel = flipped
+    relabel[0] = 0
+    for j in range(code.h.rows):
+        column = row_parities(record, 1 << j)
+        np.bitwise_xor(relabel[: 1 << j], column, out=relabel[1 << j : 2 << j])
+    return w[relabel]
 
 
 def exact_equivocation(code: CosetCode, wiretap: Bsc) -> EquivocationReport:
@@ -376,17 +419,19 @@ def exact_equivocation(code: CosetCode, wiretap: Bsc) -> EquivocationReport:
     over messages depends on z only through its syndrome, so the sum over all
     2^n outputs collapses onto 2^(n - k_coarse) syndrome classes.
     """
-    _check_enumeration_budget(code, MAX_EXACT_N)
+    _check_enumeration_budget(code, exact=True)
     if code.k_msg == 0:
         raise ValueError("code carries no message bits")
-    # W[u] = sum over noise patterns e with e @ h.T = u of p^wt(e) (1-p)^(n-wt),
-    # pushed through h column by column; W is constant on cosets of the
-    # secrecy subcode, which is the collapse that makes this tractable.
-    w = np.zeros(1 << code.h.rows, dtype=float)
-    w[0] = 1.0
-    w = _xor_fold(w, code._columns, 1.0 - wiretap.p, wiretap.p)
-    # T[u] = sum over messages s of W[u ^ embed(s)], folded bit by bit.
-    t = _xor_fold(w, [1 << j for j in range(code.zero_len, code.h.rows)], 1.0, 1.0)
+    w = _syndrome_weights(code, wiretap.p)
+    # T[u] = sum over messages s of W[u ^ embed(s)], the same for every s: the
+    # message bits are summed one at a time as lo + hi, the float that
+    # T[u] + T[u ^ (1 << j)] gives at either end, and the totals are tiled back
+    # over the messages so that the entropy sums one term per syndrome class.
+    t = w
+    for _ in range(code.k_msg):
+        halves = t.reshape(-1, 2, 1 << code.zero_len)
+        t = halves[:, 0] + halves[:, 1]
+    t = np.tile(t.reshape(-1), 1 << code.k_msg)
     h_s_given_z = _entropy_bits(w) - _entropy_bits(t) / (1 << code.k_msg)
     delta = h_s_given_z / code.k_msg
     delta = min(max(delta, 0.0), 1.0)

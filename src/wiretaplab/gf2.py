@@ -261,7 +261,9 @@ class Elimination:
 
     ``record[i]``, kept in the high bits of the augmented rows, packs the rows
     of h that XOR to reduced row i, so reduced row i of x @ h.T = target has
-    right-hand side parity(record[i] & target).
+    right-hand side parity(record[i] & target).  Likewise row_parities(record,
+    column j of h) is column j of the reduced matrix: 1 << i at the i-th pivot
+    column, and below 1 << i at each non-pivot column before that pivot.
     """
 
     def __init__(self, h: BitMatrix):

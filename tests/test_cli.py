@@ -269,7 +269,7 @@ def test_equivocation_budget_reported(tmp_path, capsys):
     )
     assert code == 1
     assert out == ""
-    assert "n <= 24" in err  # the budget is stated in the diagnostic
+    assert "n - k_coarse <= 24 syndrome rows" in err  # the budget is stated in the diagnostic
 
 
 def test_quantizer_sweep(tmp_path, capsys):

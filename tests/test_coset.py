@@ -11,6 +11,7 @@ from wiretaplab.channels import Bsc
 from wiretaplab.coset import (
     CosetCode,
     EnumerationBudgetError,
+    EquivocationReport,
     WiretapCodeParams,
     code_from_text,
     code_to_text,
@@ -26,7 +27,7 @@ from wiretaplab.coset import (
     _posterior_entropy_bits,
 )
 from wiretaplab.gf2 import BitMatrix, BitVector, Elimination
-from wiretaplab.infometrics import binary_entropy
+from wiretaplab.infometrics import _entropy_bits, binary_entropy
 from wiretaplab.lpn import registered_code
 from wiretaplab.prng import PrngStream, prng_stream
 
@@ -464,17 +465,72 @@ def test_exact_equivocation_monotone_in_crossover():
 
 
 def test_exact_equivocation_budget():
-    with pytest.raises(EnumerationBudgetError):
+    budget = "n - k_coarse <= 24 syndrome rows; got n=25, 25 rows"
+    with pytest.raises(EnumerationBudgetError, match=budget):
         exact_equivocation(uncoded_code(25), Bsc(0.1))
 
 
 def test_exact_equivocation_at_budget_edge():
-    # Largest allowed block length; cross-checked by Monte Carlo.
+    # (24, 16, 8): 16 syndrome rows, well inside the exact budget; cross-checked
+    # by Monte Carlo.
     params = WiretapCodeParams(24, 16, 8, 8, 0.01)
     code = random_coset_code(_rng("edge-code"), params)
     exact = exact_equivocation(code, Bsc(0.11)).equivocation
     mc = monte_carlo_equivocation(code, Bsc(0.11), 600, _rng("edge-mc"))
     assert abs(mc.equivocation - exact) <= 3 * mc.stderr
+
+
+def test_exact_equivocation_budget_counts_syndrome_rows():
+    # n = 32 with 20 syndrome rows: past n = 24, but within the row budget, as
+    # exact's cost is set by its 2^(n - k_coarse) syndrome classes.
+    code = _random_code("rows-32", 32, 16, 12)
+    exact = exact_equivocation(code, Bsc(0.11)).equivocation
+    mc = monte_carlo_equivocation(code, Bsc(0.11), 600, _rng("rows-32-mc"))
+    assert abs(mc.equivocation - exact) <= 3 * mc.stderr
+
+
+def _xor_fold(w, masks, a, b):
+    """w[u] <- a * w[u] + b * w[u ^ m] for each nonzero mask m in turn."""
+    indices = np.arange(len(w), dtype=np.int64)
+    flipped = np.empty_like(indices)
+    for m in masks:
+        if m:
+            np.bitwise_xor(indices, m, out=flipped)
+            w = a * w + b * w[flipped]
+    return w
+
+
+def _column_loop_exact(code, p):
+    """Exact equivocation with every step of the noise pushforward and of the
+    message fold taken over all 2^(n - k_coarse) syndromes in h's own basis:
+    the form the relabelled pushforward replaced, kept as its reference."""
+    w = np.zeros(1 << code.h.rows, dtype=float)
+    w[0] = 1.0
+    w = _xor_fold(w, code._columns, 1.0 - p, p)
+    t = _xor_fold(w, [1 << j for j in range(code.zero_len, code.h.rows)], 1.0, 1.0)
+    delta = (_entropy_bits(w) - _entropy_bits(t) / (1 << code.k_msg)) / code.k_msg
+    return EquivocationReport(min(max(delta, 0.0), 1.0), code.rate, math.nan, "exact", 0.0)
+
+
+# Column 1 is zero, and column 2 repeats column 0 before the last pivot, column 3.
+ZERO_COLUMN_CODE = CosetCode(
+    BitMatrix.from_rows([[1, 0, 1, 0], [0, 0, 0, 1]]), zero_len=1, msg_len=1
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    code=st.one_of(_small_codes(max_n=14), st.sampled_from([ZERO_COLUMN_CODE, uncoded_code(3)])),
+    p=st.one_of(st.sampled_from([0.0, 1e-300, 1e-30, 0.5]), st.floats(0.0, 0.5)),
+)
+@example(code=ZERO_COLUMN_CODE, p=1e-300)
+@example(code=_hamming_full_message_code(), p=1e-30)  # k_coarse = 0
+@example(code=_hamming_coset_code(), p=0.0)
+def test_exact_equivocation_equals_column_loop_reference(code, p):
+    # p = 0 and 1e-300 leave zero and underflowed weights; any change in the
+    # float work, or in its order, moves a digit of the row.
+    reference = _column_loop_exact(code, p)
+    assert exact_equivocation(code, Bsc(p)).to_csv_row() == reference.to_csv_row()
 
 
 # `report.to_csv_row()` of exact equivocation on the codes of the pinned MC

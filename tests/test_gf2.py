@@ -373,6 +373,27 @@ def test_invert_property(data):
             invert(m)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_record_relabels_pivot_columns_to_units(data):
+    # The invariant the exact equivocation's pushforward relies on: the record
+    # maps the i-th pivot column to 1 << i and each non-pivot column before
+    # that pivot below it.
+    cols = data.draw(st.integers(1, 40))
+    rows = data.draw(st.integers(1, min(cols, 24)))
+    h = random_full_rank(_rng(f"relabel-{data.draw(st.integers(0, 2**32))}"), rows, cols)
+    elim = Elimination(h)
+    seen = 0
+    for j, column in enumerate(_columns(h)):
+        relabelled = row_parities(elim.record, column)
+        if j in elim.pivots:
+            assert relabelled == 1 << seen
+            seen += 1
+        else:
+            assert relabelled < 1 << seen
+    assert seen == rows
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(rows=st.lists(st.integers(0, 2**70 - 1), max_size=40), x=st.integers(0, 2**70 - 1))
 def test_row_parities_property(rows, x):
