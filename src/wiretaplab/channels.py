@@ -25,7 +25,8 @@ __all__ = [
 
 
 def _check_variance(name: str, value: float, positive: bool = False) -> None:
-    """Reject a variance or scale that is not finite, or is negative (zero too if positive)."""
+    """Reject a variance, scale or slack that is not finite, or is negative
+    (zero too if positive)."""
     bound = "> 0" if positive else ">= 0"
     if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")

@@ -41,9 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Bsc, _check_crossover, _check_degraded
+from .channels import Bsc, _check_crossover, _check_degraded, _check_variance
 from .gf2 import (
-    BitMatrix, BitVector, Elimination, mat_vec_mul, random_full_rank, row_parities, xor_rows
+    BitMatrix, BitVector, Elimination, _header_counts, random_full_rank, row_parities, xor_rows
 )
 from .infometrics import _entropy_bits, binary_entropy
 from .prng import _bernoulli_threshold
@@ -135,6 +135,9 @@ def params_from_channel(n: int, p: float, p_w: float, epsilon: float) -> Wiretap
     k_fine - k_coarse, which keeps the rate at least h(p_w) - h(p) - 3 eps
     for large n.
     """
+    if n < 1:
+        raise ValueError(f"block length n must be >= 1, got {n!r}")
+    _check_variance("epsilon", epsilon, positive=True)
     _check_degraded(p, p_w)
     k_fine = math.floor(n * (1.0 - binary_entropy(p) - 2.0 * epsilon))
     k_coarse = max(0, math.floor(n * (1.0 - binary_entropy(p_w) - 2.0 * epsilon)))
@@ -199,9 +202,6 @@ class CosetCode:
     @property
     def rate(self) -> float:
         return self.msg_len / self.n
-
-    def syndrome(self, x: BitVector) -> BitVector:
-        return mat_vec_mul(self.h, x)
 
     def __repr__(self):
         return (
@@ -563,7 +563,7 @@ def code_from_text(text: str) -> CosetCode:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 2:
         raise ValueError("expected a header line and a matrix line")
-    n, k_fine, k_coarse = (int(v) for v in lines[0].split(","))
+    n, k_fine, k_coarse = _header_counts(lines[0], "n,k_fine,k_coarse")
     h = BitMatrix.from_hex(lines[1])
     if h.cols != n or h.rows != n - k_coarse:
         raise ValueError(

@@ -35,6 +35,15 @@ class InconsistentSystemError(ValueError):
     """Raised when an affine system x @ h.T = target has no solution."""
 
 
+def _header_counts(head: str, names: str) -> list:
+    """The comma-separated counts of a serialized header, one per field of
+    names ('rows,cols'); a malformed header is quoted in the error."""
+    fields = head.split(",")
+    if len(fields) != names.count(",") + 1 or not all(f.strip().isdecimal() for f in fields):
+        raise ValueError(f"bad header {head.strip()!r}: expected {names}, nonnegative integers")
+    return [int(f) for f in fields]
+
+
 def _packed_from_hex(text: str, hexpart: str, nbits: int) -> int:
     """The little-endian hex of a serialized field, which must pack nbits."""
     raw = bytes.fromhex(hexpart)
@@ -95,9 +104,6 @@ class BitVector:
         width = stop - start
         return BitVector(width, (self.bits >> start) & ((1 << width) - 1))
 
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def to_hex(self) -> str:
         """Serialize as ``len:hex`` with little-endian bytes of the packing."""
         nbytes = (self.len + 7) // 8
@@ -106,7 +112,7 @@ class BitVector:
     @classmethod
     def from_hex(cls, text: str) -> "BitVector":
         head, _, hexpart = text.strip().partition(":")
-        n = int(head)
+        (n,) = _header_counts(head, "len")
         return cls(n, _packed_from_hex(text, hexpart, n))
 
     def __repr__(self):
@@ -184,8 +190,7 @@ class BitMatrix:
     @classmethod
     def from_hex(cls, text: str) -> "BitMatrix":
         head, _, hexpart = text.strip().partition(":")
-        rows_s, cols_s = head.split(",")
-        rows, cols = int(rows_s), int(cols_s)
+        rows, cols = _header_counts(head, "rows,cols")
         packed = _packed_from_hex(text, hexpart, rows * cols)
         mask = (1 << cols) - 1
         words = tuple((packed >> (r * cols)) & mask for r in range(rows))
@@ -257,7 +262,7 @@ def _rref(words, cols):
 class Elimination:
     """Gauss-Jordan elimination of h, kept so that one elimination serves
     its rank (``.rank``), kernel basis (``.kernel``) and every right-hand side
-    (``.particular``, ``.solve``).
+    (``.particular``).
 
     ``record[i]``, kept in the high bits of the augmented rows, packs the rows
     of h that XOR to reduced row i, so reduced row i of x @ h.T = target has
@@ -296,14 +301,6 @@ class Elimination:
         if parities >> self.rank:
             raise InconsistentSystemError("target not in the row space of h")
         return BitVector(self.cols, xor_rows([1 << p for p in self.pivots], parities))
-
-    def solve(self, target: BitVector, rng) -> BitVector:
-        """A uniformly random solution of x @ h.T = target, reproducible given
-        the stream: the particular one XOR an rng-drawn combination of the
-        kernel basis; raises InconsistentSystemError when there is none."""
-        x = self.particular(target).bits
-        coeffs = rng.next_bits(len(self.kernel))
-        return BitVector(self.cols, x ^ xor_rows([kv.bits for kv in self.kernel], coeffs))
 
 
 def invert(m: BitMatrix) -> BitMatrix:

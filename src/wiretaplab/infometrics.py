@@ -158,7 +158,7 @@ def equivocation_loss(p: float, p_w: float, i_x_zhat: float) -> float:
     h_p = binary_entropy(p)
     h_pw = binary_entropy(p_w)
     floor = 1.0 - h_pw
-    if i_x_zhat < floor - 1e-9 or i_x_zhat > 1.0 + 1e-12:
+    if not floor - 1e-9 <= i_x_zhat <= 1.0 + 1e-12:  # NaN fails too
         raise ValueError(f"i_x_zhat={i_x_zhat} outside [1 - h(p_w), 1] = [{floor}, 1]")
     numerator = h_pw - 1.0 + i_x_zhat
     if numerator < 0.0:

@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coset import CosetCode, code_from_text, code_to_text, decode_ml, encode
-from .gf2 import BitMatrix, BitVector, invert, mat_mul, mat_vec_mul, random_full_rank, xor_rows
+from .gf2 import (
+    BitMatrix, BitVector, _header_counts, invert, mat_mul, mat_vec_mul, random_full_rank, xor_rows
+)
 
 __all__ = [
     "LpnParams",
@@ -226,7 +228,7 @@ def ciphertext_from_text(text: str) -> LpnCiphertext:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 3 or not lines[0].startswith(CT_HEADER):
         raise ValueError("not a v1 lpn ciphertext file")
-    n, k = (int(v) for v in lines[0][len(CT_HEADER):].strip().split(","))
+    n, k = _header_counts(lines[0][len(CT_HEADER):], "n,k")
     z = BitVector.from_hex(lines[1])
     u = BitVector.from_hex(lines[2])
     if z.len != n or u.len != k:

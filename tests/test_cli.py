@@ -272,6 +272,14 @@ def test_equivocation_budget_reported(tmp_path, capsys):
     assert "n - k_coarse <= 24 syndrome rows" in err  # the budget is stated in the diagnostic
 
 
+def test_code_file_bad_header_names_file_and_header(tmp_path, capsys):
+    path = tmp_path / "code.txt"
+    path.write_text("2,1,0,9\n1,2:03\n")
+    code, out, err = run(capsys, "equivocation", "--code-file", str(path), "--p-w", "0.2")
+    assert (code, out) == (1, "")
+    assert f"error: {path}: bad header '2,1,0,9'" in err
+
+
 def test_quantizer_sweep(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run(

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -26,10 +27,12 @@ from wiretaplab.coset import (
     _lex_key,
     _posterior_entropy_bits,
 )
-from wiretaplab.gf2 import BitMatrix, BitVector, Elimination
+from wiretaplab.gf2 import BitMatrix, BitVector, Elimination, mat_vec_mul, row_parities
 from wiretaplab.infometrics import _entropy_bits, binary_entropy
 from wiretaplab.lpn import registered_code
 from wiretaplab.prng import PrngStream, prng_stream
+
+from test_gf2 import _solve
 
 P_UNIT = 0.15865525393145707
 P_W_UNIT = 0.23975006109347674
@@ -183,6 +186,16 @@ def test_wiretap_params_reject_non_positive_epsilon(epsilon):
         WiretapCodeParams(24, 8, 4, 4, epsilon)
 
 
+@pytest.mark.parametrize(
+    "n, epsilon, name",
+    [(24, math.inf, "epsilon"), (24, -math.inf, "epsilon"), (24, math.nan, "epsilon"),
+     (0, 0.01, "n"), (-3, 0.01, "n")],
+)
+def test_params_reject_bad_length_or_slack_at_entry(n, epsilon, name):
+    with pytest.raises(ValueError, match=rf"\b{name} must be"):
+        params_from_channel(n, 0.1, 0.3, epsilon)
+
+
 def test_params_nonpositive_dimension_rejected():
     with pytest.raises(ValueError):
         params_from_channel(10, 0.49, 0.499, 1e-3)
@@ -225,7 +238,7 @@ def test_encode_syndrome_always_matches_target():
     for _ in range(100):
         s = BitVector(code.k_msg, rng.next_bits(code.k_msg))
         x = encode(code, s, rng)
-        assert code.syndrome(x) == BitVector.zeros(code.zero_len).concat(s)
+        assert mat_vec_mul(code.h, x) == BitVector.zeros(code.zero_len).concat(s)
 
 
 def test_encode_draws_vary_with_randomness():
@@ -245,14 +258,15 @@ ZERO_MSG_CODE = CosetCode(BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]]), zero_len=
 @example(code=ZERO_MSG_CODE, messages=[0, 0, 0])
 @example(code=registered_code(28, 8), messages=list(range(256)))
 def test_encode_equals_elimination_solve(code, messages):
-    # The solve of [0 || s] is the encoder the generator XOR replaced, kept as
-    # its reference: from two identical streams both draw the same coset bits
-    # and, by linearity of the particular solution, give the same word.
+    # The solve of [0 || s] (test_gf2._solve) is the encoder the generator XOR
+    # replaced, kept as its reference: from two identical streams both draw the
+    # same coset bits and, by linearity of the particular solution, give the
+    # same word.
     ours, reference = _rng("enc-solve"), _rng("enc-solve")
     for bits in messages:
         s = BitVector(code.k_msg, bits & ((1 << code.k_msg) - 1))
         target = BitVector.zeros(code.zero_len).concat(s)
-        assert encode(code, s, ours) == code._elimination.solve(target, reference)
+        assert encode(code, s, ours) == _solve(code._elimination, target, reference)
 
 
 def _table_fine_words(code):
@@ -318,7 +332,7 @@ def test_stochastic_encoder_cosets_disjoint():
         zero = BitVector.zeros(code.zero_len)
         for i, word in enumerate(words):
             s = BitVector(code.k_msg, i >> code.k_coarse)
-            assert code.syndrome(BitVector(code.n, word)) == zero.concat(s)
+            assert mat_vec_mul(code.h, BitVector(code.n, word)) == zero.concat(s)
 
 
 # --- decoding ----------------------------------------------------------------
@@ -742,6 +756,38 @@ def test_block_sampler_threshold_boundary():
     assert outputs.tolist() == list(reference)
 
 
+def _chi_square_gof(observed, expected):
+    """Pearson's statistic and degrees of freedom, cells with expected count
+    below 5 pooled into one."""
+    small = expected < 5.0
+    obs = np.append(observed[~small], observed[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    keep = exp > 0.0
+    return float(((obs[keep] - exp[keep]) ** 2 / exp[keep]).sum()), int(keep.sum()) - 1
+
+
+@pytest.mark.parametrize(
+    "code, p",
+    [(_random_code("gof-9", 12, 7, 3), 0.1), (_random_code("gof-10", 10, 6, 0), 0.25),
+     (_hamming_coset_code(), 0.05)],
+)
+def test_sampler_syndromes_fit_exact_fold(code, p):
+    # A sample's syndrome is [0 || s] ^ (noise syndrome), s uniform, so u has
+    # probability T[u mod 2^zero_len] / 2^k_msg, T being exact's message fold
+    # of the noise's syndrome weights.  Pearson's test at a level fixed before
+    # the run, alpha = 1e-3, critical value by the Wilson-Hilferty cube root.
+    samples = 20_000
+    fold = coset._syndrome_weights(code, p).reshape(1 << code.k_msg, -1).sum(axis=0)
+    expected = samples * np.tile(fold, 1 << code.k_msg) / (1 << code.k_msg)
+    outputs = coset._sample_outputs(code, p, samples, _rng("gof"), 1).tolist()
+    syndromes = [row_parities(code.h.row_words, z) for z in outputs]
+    observed = np.bincount(syndromes, minlength=1 << code.h.rows)
+    stat, dof = _chi_square_gof(observed, expected)
+    z = NormalDist().inv_cdf(1.0 - 1e-3)
+    critical = dof * (1.0 - 2.0 / (9 * dof) + z * math.sqrt(2.0 / (9 * dof))) ** 3
+    assert stat < critical, (stat, dof, critical)
+
+
 class _CountingRng:
     """A stream that counts the worker substreams derived from it."""
 
@@ -865,3 +911,9 @@ def test_code_text_rejects_inconsistent_header():
     bad = f"8,{code.k_fine},{code.k_coarse}\n{lines[1]}\n"
     with pytest.raises(ValueError):
         code_from_text(bad)
+
+
+@pytest.mark.parametrize("header", ["2,1,0,9", "2,1", "2,x,0", "2,-1,0"])
+def test_code_text_bad_header_is_quoted(header):
+    with pytest.raises(ValueError, match=f"bad header '{header}'"):
+        code_from_text(f"{header}\n1,2:03\n")

@@ -26,6 +26,15 @@ def _rng(label):
     return prng_stream(b"gf2-test-seed-0123", label)
 
 
+def _solve(elim, target, rng):
+    """A uniformly random solution of x @ h.T = target, reproducible given the
+    stream: the particular one XOR an rng-drawn combination of the kernel
+    basis.  No package path draws such a solution; it is encode's reference."""
+    x = elim.particular(target).bits
+    coeffs = rng.next_bits(len(elim.kernel))
+    return BitVector(elim.cols, x ^ xor_rows([kv.bits for kv in elim.kernel], coeffs))
+
+
 # Standard [7,4] Hamming parity check; column j is the binary expansion of j+1.
 HAMMING_H = BitMatrix.from_rows(
     [
@@ -103,19 +112,19 @@ def test_invert_succeeds_iff_full_rank():
 
 def test_solve_affine_unique_solution():
     target = BitVector.from_bits([1, 0, 1])
-    x = Elimination(BitMatrix.identity(3)).solve(target, _rng("unique"))
+    x = _solve(Elimination(BitMatrix.identity(3)), target, _rng("unique"))
     assert x == target
 
 
 def test_solve_affine_inconsistent():
     with pytest.raises(InconsistentSystemError):
-        Elimination(BitMatrix.zeros(1, 3)).solve(BitVector.from_bits([1]), _rng("bad"))
+        Elimination(BitMatrix.zeros(1, 3)).particular(BitVector.from_bits([1]))
 
 
 def test_solve_affine_hamming_codeword():
     rng = _rng("hamming")
     for _ in range(50):
-        x = Elimination(HAMMING_H).solve(BitVector.zeros(3), rng)
+        x = _solve(Elimination(HAMMING_H), BitVector.zeros(3), rng)
         assert mat_vec_mul(HAMMING_H, x) == BitVector.zeros(3)
 
 
@@ -127,7 +136,7 @@ def test_solve_affine_postcondition_random_systems():
         h = BitMatrix.from_row_words([rng.next_bits(cols) for _ in range(rows)], cols)
         target = BitVector(rows, rng.next_bits(rows))
         try:
-            x = Elimination(h).solve(target, rng)
+            x = _solve(Elimination(h), target, rng)
         except InconsistentSystemError:
             assert Elimination(h).rank < rows
             continue
@@ -140,7 +149,7 @@ def test_solve_affine_uniform_over_solution_set():
     draws = 10_000
     counts = {}
     for _ in range(draws):
-        x = Elimination(HAMMING_H).solve(BitVector.zeros(3), rng)
+        x = _solve(Elimination(HAMMING_H), BitVector.zeros(3), rng)
         counts[x.bits] = counts.get(x.bits, 0) + 1
     assert len(counts) == 16
     expected = draws / 16
@@ -282,6 +291,16 @@ def test_bitmatrix_hex_rejects_wrong_byte_count_and_padding():
         BitMatrix.from_hex("2,2:ff")
 
 
+@pytest.mark.parametrize(
+    "parse, text, header",
+    [(BitVector.from_hex, "-1:", "-1"), (BitVector.from_hex, "x:0b", "x"),
+     (BitMatrix.from_hex, "3:07", "3"), (BitMatrix.from_hex, "1,2,3:07", "1,2,3")],
+)
+def test_hex_bad_header_is_quoted(parse, text, header):
+    with pytest.raises(ValueError, match=re.escape(f"bad header {header!r}")):
+        parse(text)
+
+
 def test_bitvector_rejects_padding():
     with pytest.raises(ValueError):
         BitVector(2, 0b100)
@@ -342,10 +361,10 @@ def test_solve_affine_property(h, data):
     columns = _columns(h)
     solvable = _span_rank(columns + [target.bits]) == _span_rank(columns)
     if solvable:
-        assert mat_vec_mul(h, Elimination(h).solve(target, _rng("prop-solve"))) == target
+        assert mat_vec_mul(h, _solve(Elimination(h), target, _rng("prop-solve"))) == target
     else:
         with pytest.raises(InconsistentSystemError):
-            Elimination(h).solve(target, _rng("prop-solve"))
+            Elimination(h).particular(target)
 
 
 @settings(max_examples=200, deadline=None)

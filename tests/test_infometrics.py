@@ -408,6 +408,12 @@ def test_equivocation_loss_domain_errors():
         equivocation_loss(P_UNIT, P_W_UNIT, 0.1)  # below the two-level floor
 
 
+@pytest.mark.parametrize("i_x_zhat", [math.nan, math.inf, -math.inf])
+def test_equivocation_loss_rejects_non_finite_information(i_x_zhat):
+    with pytest.raises(ValueError, match=r"outside \[1 - h\(p_w\), 1\]"):
+        equivocation_loss(P_UNIT, P_W_UNIT, i_x_zhat)
+
+
 def test_max_equivocation_loss_unit_point():
     loss = max_equivocation_loss(1.0, 1.0)
     assert abs(loss - LOSS_UNIT) < 1e-8

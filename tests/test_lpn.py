@@ -217,7 +217,7 @@ def test_decrypt_roundtrip_statistics():
         _, _, v, _ = _replay_draws_after_message(params, label)
         ok = decrypt(key, params, ct) == a
         successes += ok
-        if v.weight() <= 1 and not ok:
+        if v.bits.bit_count() <= 1 and not ok:
             conditional_failures += 1
     assert conditional_failures == 0
     assert successes / trials >= 0.98
@@ -380,3 +380,5 @@ def test_ciphertext_file_rejects_corruption():
         ciphertext_from_text("lpn-ct v1: 28,16\n28:00\n")
     with pytest.raises(ValueError):
         ciphertext_from_text("nonsense\n28:00000000\n16:0000\n")
+    with pytest.raises(ValueError, match="bad header '28'"):
+        ciphertext_from_text("lpn-ct v1: 28\n28:00000000\n16:0000\n")
