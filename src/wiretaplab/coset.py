@@ -15,7 +15,7 @@ collapsing the 2^n output space onto syndrome classes: the noise distribution
 is pushed through the syndrome map coordinate by coordinate, in syndromes
 relabelled by the parity-check matrix's elimination so that a pivot column
 only doubles the support.  That costs about 2^(n - k_coarse) times (non-pivot
-columns + a few passes) instead of enumerating outputs against codewords.
+columns + a few passes) whatever n is, so exact is budgeted by syndrome rows.
 The Monte Carlo estimator samples outputs and evaluates the same posterior by
 direct enumeration of the fine code, over bounded batches of samples: the
 likelihood of each fine-code word is read from a table of the n + 1 BSC
@@ -26,10 +26,10 @@ each sample gets the bits a draw at a time would give it.
 
 Bob's ML decoder is syndrome decoding: a table of minimal-weight coset
 leaders of the fine code, indexed by the zero-block syndrome and built once
-per code, turns each decode into one lookup.  A code whose table would hold
-more syndromes than the fine code has words, or would need more than
-MAX_LEADER_PATTERNS error patterns to fill, decodes by enumerating the fine
-code instead.
+per code, turns each decode into one lookup, whatever k_fine is.  A code whose
+table would hold more syndromes than the fine code has words, would need more
+than MAX_LEADER_PATTERNS error patterns, or has n > 63, enumerates the fine
+code instead, as Monte Carlo does, under that walk's k_fine and n <= 63 budget.
 """
 
 from __future__ import annotations
@@ -65,14 +65,14 @@ __all__ = [
     "code_from_text",
 ]
 
-# Enumeration budgets: exact equivocation walks its 2^(n - k_coarse) syndrome
-# classes about (non-pivot columns + a few) times, so it is capped by its
-# syndrome rows; decoding and per-sample posteriors walk 2^k_fine codewords.
-# Words and columns pack into 64-bit integers, so every budget keeps n <= 63.
+# Enumeration budgets, each checked by the walk it bounds.  Exact equivocation
+# walks 2^(n - k_coarse) syndrome classes about (non-pivot columns + a few)
+# times on Python-int columns, so only its rows are capped; CosetCode._fine_words
+# walks 2^k_fine codewords packed into uint64, so it also needs n <= 63.
 MAX_EXACT_ROWS = 24
 MAX_ENUM_K_FINE = 20
-# Coset-leader table budget: error patterns enumerated (by weight) to fill the
-# syndrome table; past it, decoding falls back to enumerating the fine code.
+# Coset-leader table budget: error patterns (uint64, so n <= 63) enumerated by
+# weight to fill the syndrome table; past it, decoding enumerates the fine code.
 MAX_LEADER_PATTERNS = 1 << 16
 
 # Word budget of one Monte Carlo posterior batch: 2^14 >> k_fine samples, or
@@ -148,24 +148,6 @@ def params_from_channel(n: int, p: float, p_w: float, epsilon: float) -> Wiretap
     return WiretapCodeParams(n, k_fine, k_coarse, k_fine - k_coarse, epsilon)
 
 
-def _check_enumeration_budget(code: "CosetCode", exact: bool = False) -> None:
-    """Fine-code enumeration packs words into uint64 (n <= 63) and walks 2^k_fine
-    of them.  Exact equivocation (exact=True) walks 2^(n - k_coarse) syndrome
-    classes about (non-pivot columns + a few) times, so its budget is on the
-    syndrome rows n - k_coarse; k_fine does not enter its cost."""
-    if exact:
-        over = code.h.rows > MAX_EXACT_ROWS
-        budget = f"n - k_coarse <= {MAX_EXACT_ROWS} syndrome rows"
-        got = f"{code.h.rows} rows"
-    else:
-        over = code.k_fine > MAX_ENUM_K_FINE
-        budget, got = f"k_fine <= {MAX_ENUM_K_FINE}", f"k_fine={code.k_fine}"
-    if code.n > 63 or over:
-        raise EnumerationBudgetError(
-            f"enumeration budget is n <= 63 and {budget}; got n={code.n}, {got}"
-        )
-
-
 class CosetCode:
     """Parity-check matrix plus syndrome layout; immutable after construction."""
 
@@ -237,8 +219,13 @@ class CosetCode:
 
     @cached_property
     def _fine_words(self) -> np.ndarray:
-        """All 2^k_fine fine-code words by flat index, doubled over the generators."""
-        _check_enumeration_budget(self)
+        """All 2^k_fine fine-code words by flat index, doubled over the generators:
+        the one walk of the fine code, so the one check of its budget."""
+        if self.n > 63 or self.k_fine > MAX_ENUM_K_FINE:
+            raise EnumerationBudgetError(
+                f"enumeration budget is n <= 63 and k_fine <= {MAX_ENUM_K_FINE}; "
+                f"got n={self.n}, k_fine={self.k_fine}"
+            )
         words = np.zeros(1 << self.k_fine, dtype=np.uint64)
         for j, g in enumerate(self._generators):
             np.bitwise_xor(words[: 1 << j], np.uint64(g), out=words[1 << j : 2 << j])
@@ -247,7 +234,6 @@ class CosetCode:
     @cached_property
     def _leader_table(self) -> _LeaderTable | None:
         """Fine-code coset leaders by zero-block syndrome; None past the budget."""
-        _check_enumeration_budget(self)
         return _build_leader_table(self)
 
 
@@ -285,11 +271,12 @@ def _build_leader_table(code: CosetCode) -> _LeaderTable | None:
     A level of weight w + 1 extends each weight-w pattern by one bit above its
     highest set bit, so patterns are kept sorted by that bit and each
     extension is a prefix.  Returns None when the table would hold more
-    syndromes than the fine code has words, or when the next level would take
-    the pattern count past MAX_LEADER_PATTERNS.
+    syndromes than the fine code has words, when n > 63 (patterns are uint64),
+    or when the next level would take the pattern count past
+    MAX_LEADER_PATTERNS.  It never walks the fine code, so k_fine is free.
     """
     size = 1 << code.zero_len
-    if code.zero_len > code.k_fine or size > MAX_LEADER_PATTERNS:
+    if code.n > 63 or code.zero_len > code.k_fine or size > MAX_LEADER_PATTERNS:
         return None
     cols = [col & (size - 1) for col in code._columns]
     words = np.zeros(1, dtype=np.uint64)
@@ -333,8 +320,9 @@ def decode_ml(code: CosetCode, y: BitVector, p: float) -> BitVector:
     returns the message block of its syndrome; ties go to the
     lexicographically smallest codeword.  The nearest codewords are y ^ e for
     the minimal-weight error patterns e sharing y's zero-block syndrome, so
-    one lookup in the code's coset-leader table finds them.  A code outside
-    the table's budget (see `_build_leader_table`) enumerates the fine code.
+    one lookup in the code's coset-leader table finds them, whatever k_fine is.
+    A code outside the table's budget (see `_build_leader_table`) enumerates
+    the fine code, under `CosetCode._fine_words`' budget.
     """
     if y.len != code.n:
         raise ValueError(f"received length {y.len} != n = {code.n}")
@@ -419,7 +407,11 @@ def exact_equivocation(code: CosetCode, wiretap: Bsc) -> EquivocationReport:
     over messages depends on z only through its syndrome, so the sum over all
     2^n outputs collapses onto 2^(n - k_coarse) syndrome classes.
     """
-    _check_enumeration_budget(code, exact=True)
+    if code.h.rows > MAX_EXACT_ROWS:
+        raise EnumerationBudgetError(
+            f"enumeration budget is n - k_coarse <= {MAX_EXACT_ROWS} syndrome rows; "
+            f"got {code.h.rows} rows"
+        )
     if code.k_msg == 0:
         raise ValueError("code carries no message bits")
     w = _syndrome_weights(code, wiretap.p)
@@ -516,7 +508,7 @@ def monte_carlo_equivocation(
         raise ValueError("samples must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    _check_enumeration_budget(code)
+    code._fine_words  # the fine-code budget, checked before any draw
     if code.k_msg == 0:
         raise ValueError("code carries no message bits")
 

@@ -46,7 +46,10 @@ def _header_counts(head: str, names: str) -> list:
 
 def _packed_from_hex(text: str, hexpart: str, nbits: int) -> int:
     """The little-endian hex of a serialized field, which must pack nbits."""
-    raw = bytes.fromhex(hexpart)
+    try:
+        raw = bytes.fromhex(hexpart)
+    except ValueError as exc:
+        raise ValueError(f"{text.strip()!r}: {exc}") from None
     if len(raw) != (nbits + 7) // 8 or int.from_bytes(raw, "little") >> nbits:
         nbytes = (nbits + 7) // 8
         raise ValueError(f"{text.strip()!r}: {nbits} bits need {nbytes} hex bytes, zero-padded")

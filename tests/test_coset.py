@@ -1,6 +1,8 @@
 import math
+from dataclasses import replace
 from statistics import NormalDist
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -412,9 +414,38 @@ def test_decode_past_pattern_budget_enumerates(monkeypatch):
 
 
 def test_decode_budget():
-    code = uncoded_code(22)  # k_fine = 22 > budget
-    with pytest.raises(EnumerationBudgetError):
-        decode_ml(code, BitVector.zeros(22), 0.1)
+    # k_fine = 22 is past the fine-code budget, but the empty zero block gives a
+    # one-syndrome table, so y decodes to its own bits without a scan.
+    y = BitVector(22, 0x2A5A5A)
+    assert decode_ml(uncoded_code(22), y, 0.1) == y
+    # zero_len = 23 puts the table past MAX_LEADER_PATTERNS, and the fallback
+    # scan of the 2^21 fine-code words past its budget.
+    code = _random_code("no-table-k21", 44, 21, 5)
+    assert code._leader_table is None
+    with pytest.raises(EnumerationBudgetError, match="k_fine <= 20; got n=44, k_fine=21"):
+        decode_ml(code, BitVector.zeros(44), 0.1)
+
+
+def test_table_decode_past_fine_code_budget_equals_enumeration(monkeypatch):
+    # k_fine = 21 is past MAX_ENUM_K_FINE, but the table has 2^6 syndromes
+    # (44 of them tied); only the reference scan needs the budget raised.
+    code = _random_code("table-k21", 27, 21, 17)
+    rng = _rng("table-k21-y")
+    ys = [BitVector(code.n, rng.next_bits(code.n)) for _ in range(64)]
+    decoded = [decode_ml(code, y, 0.1) for y in ys]
+    assert code._leader_table.ties and "_fine_words" not in code.__dict__
+    monkeypatch.setattr(coset, "MAX_ENUM_K_FINE", 21)
+    assert decoded == [_enum_decode_ml(code, y, 0.1) for y in ys]
+
+
+def test_table_decode_serves_long_high_rate_code():
+    # (40, 30, 20): a radius-3 table of 2^10 syndromes, 2^30 fine-code words.
+    code = _random_code("table-k30", 40, 30, 20)
+    assert code._leader_table.radius == 3
+    rng = _rng("table-k30-msg")
+    for _ in range(20):
+        s = BitVector(code.k_msg, rng.next_bits(code.k_msg))
+        assert decode_ml(code, encode(code, s, rng), 0.05) == s
 
 
 @pytest.mark.parametrize("n", [64, 65])
@@ -479,7 +510,7 @@ def test_exact_equivocation_monotone_in_crossover():
 
 
 def test_exact_equivocation_budget():
-    budget = "n - k_coarse <= 24 syndrome rows; got n=25, 25 rows"
+    budget = "n - k_coarse <= 24 syndrome rows; got 25 rows"
     with pytest.raises(EnumerationBudgetError, match=budget):
         exact_equivocation(uncoded_code(25), Bsc(0.1))
 
@@ -501,6 +532,17 @@ def test_exact_equivocation_budget_counts_syndrome_rows():
     exact = exact_equivocation(code, Bsc(0.11)).equivocation
     mc = monte_carlo_equivocation(code, Bsc(0.11), 600, _rng("rows-32-mc"))
     assert abs(mc.equivocation - exact) <= 3 * mc.stderr
+
+
+def test_exact_equivocation_serves_length_past_word_packing():
+    # 50 zero columns take n to 70, past a packed uint64 word; exact's columns
+    # are Python ints and a zero column never moves the syndrome, so only the
+    # rate differs from the unpadded code's row.
+    code = _random_code("pad-70", 20, 10, 4)
+    padded = CosetCode(BitMatrix.from_row_words(code.h.row_words, 70), code.zero_len, code.msg_len)
+    for p in (0.0, 1e-300, 0.1, 0.3, 0.5):
+        report = replace(exact_equivocation(padded, Bsc(p)), rate=code.rate)
+        assert report.to_csv_row() == exact_equivocation(code, Bsc(p)).to_csv_row()
 
 
 def _xor_fold(w, masks, a, b):
@@ -811,6 +853,26 @@ def test_workers_without_samples_derive_no_substream(workers, samples):
         )
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    code=_small_codes(),
+    p=st.sampled_from([0.0, 1e-300, 0.05, 0.3, 0.5]),
+    workers=st.sampled_from([1, 2]),
+)
+@example(code=_random_code("batch-k8", 12, 8, 4), p=1e-300, workers=2)
+@example(code=_hamming_coset_code(), p=0.0, workers=1)
+def test_monte_carlo_rows_independent_of_posterior_batch(code, p, workers):
+    # A batch with a zero posterior entry in any row takes the per-row
+    # fallback; for a row without one, the fallback and the batched sum give
+    # the same bits, so where the batches split moves no digit of the row.
+    rows = set()
+    for words in (1, 3, 37, 1 << 14, 1 << 22):
+        with mock.patch.object(coset, "_POSTERIOR_BATCH_WORDS", words):
+            report = monte_carlo_equivocation(code, Bsc(p), 150, _rng("batch-mc"), workers)
+        rows.add(report.to_csv_row())
+    assert len(rows) == 1
+
+
 def test_monte_carlo_budget_and_validation():
     with pytest.raises(EnumerationBudgetError):
         monte_carlo_equivocation(uncoded_code(22), Bsc(0.1), 10, _rng("mc-budget"))
@@ -885,6 +947,30 @@ def test_block_error_rate_pinned():
     assert block_error_rate(tied, Bsc(0.05), 1000, _rng("ber-pin-ties")) == (
         0.135, 0.11381975354251042, 0.1561802464574896
     )
+
+
+def _exact_block_error(code, p):
+    """1 - P(correct) of table decoding over BSC(p), for a table without ties.
+
+    Noise e decodes right exactly when its message bits equal those of the
+    leader of its zero-block syndrome s0, so P(correct) is the sum over s0 of
+    exact's syndrome weight W[s0 || msg(leader(s0))]."""
+    table = code._leader_table
+    assert not table.ties
+    msg_rows = code.h.row_words[code.zero_len :]
+    index = [
+        s0 | row_parities(msg_rows, int(e)) << code.zero_len for s0, e in enumerate(table.leaders)
+    ]
+    return 1.0 - float(coset._syndrome_weights(code, p)[index].sum())
+
+
+def test_block_error_rate_matches_exact_pushforward():
+    # The LPN code's table is tie-free, so one pushforward gives its block error.
+    code = registered_code(28, 8)
+    exact = _exact_block_error(code, 0.05)
+    assert exact == pytest.approx(0.12239910689465439, rel=1e-12)
+    result = block_error_rate(code, Bsc(0.05), 20_000, _rng("ber-exact-lpn"))
+    assert result.ci_low <= exact <= result.ci_high
 
 
 # --- serialization -------------------------------------------------------------

@@ -301,6 +301,14 @@ def test_hex_bad_header_is_quoted(parse, text, header):
         parse(text)
 
 
+@pytest.mark.parametrize(
+    "parse, text", [(BitVector.from_hex, "8:zz"), (BitMatrix.from_hex, "2,2:0g")]
+)
+def test_hex_non_hex_digits_are_quoted(parse, text):
+    with pytest.raises(ValueError, match=re.escape(f"{text!r}: non-hexadecimal")):
+        parse(text)
+
+
 def test_bitvector_rejects_padding():
     with pytest.raises(ValueError):
         BitVector(2, 0b100)
