@@ -17,9 +17,11 @@ relabelled by the parity-check matrix's elimination so that a pivot column
 only doubles the support.  That costs about 2^(n - k_coarse) times (non-pivot
 columns + a few passes) whatever n is, so exact is budgeted by syndrome rows.
 The Monte Carlo estimator samples outputs and evaluates the same posterior by
-direct enumeration of the fine code, over bounded batches of samples: the
-likelihood of each fine-code word is read from a table of the n + 1 BSC
-weights p^d (1-p)^(n-d), built once per call.  Its samples are drawn in
+direct enumeration of the fine code: the likelihood of each fine-code word is
+read from a table of the n + 1 BSC weights p^d (1-p)^(n-d), built once per
+call, into two working buffers of a fixed word budget, also allocated once per
+call and refilled in place by each batch of samples, or, past the budget, by
+each run of whole messages of one sample.  Its samples are drawn in
 blocks: one stream call per block, its message, coset and noise bits sliced
 in numpy, with prng's Bernoulli threshold applied to every noise chunk at once;
 each sample gets the bits a draw at a time would give it.
@@ -75,17 +77,21 @@ MAX_ENUM_K_FINE = 20
 # weight to fill the syndrome table; past it, decoding enumerates the fine code.
 MAX_LEADER_PATTERNS = 1 << 16
 
-# Word budget of one Monte Carlo posterior batch: 2^14 >> k_fine samples, or
-# one sample when the fine code alone fills it, so a batch holds at most
-# max(2^14, 2^k_fine) likelihoods, at ~10 bytes of arrays per word.  A 2^16
-# budget is no faster at k_fine = 8 or 16 and holds four times the memory; it
-# is ~10% faster only at k_fine = 12..14.
-_POSTERIOR_BATCH_WORDS = 1 << 14
+# Word budget of the Monte Carlo posterior's two working buffers (distances,
+# then likelihoods; 8 bytes a word each): 2^15 >> k_fine samples at a time, or,
+# once the fine code alone passes it, one sample in runs of 2^15 >> k_coarse
+# whole messages (one message once 2^k_coarse passes it).  Both are allocated
+# once per call and together hold 0.5 MiB, or 2^(k_coarse + 4) bytes once one
+# message passes the budget, whatever k_fine is.  Each run pays a few numpy
+# calls' fixed cost: 600-sample (24, 16, 8) calls, 2 runs a sample, made 6.2k
+# samples/s, against 5.8k at 2^14 (4 runs a sample) and 3.9k with a fresh
+# uint8-indexed gather per sample.
+_POSTERIOR_BATCH_WORDS = 1 << 15
 
 # Bit budget of one Monte Carlo stream draw: a block of 2^16 // (k_fine + 32n)
 # samples (84 of a (24, 8, 4) code) is 8 KiB packed and 64 KiB unpacked however
 # many samples a call makes.  It is not the posterior batch, which is one
-# sample at k_fine >= 14, where a stream call per sample is the cost it saves.
+# sample at k_fine >= 15, where a stream call per sample is the cost it saves.
 _SAMPLE_BLOCK_BITS = 1 << 16
 
 EQUIVOCATION_CSV_HEADER = "equivocation,rate,error_prob,method,stderr"
@@ -417,14 +423,16 @@ def exact_equivocation(code: CosetCode, wiretap: Bsc) -> EquivocationReport:
     w = _syndrome_weights(code, wiretap.p)
     # T[u] = sum over messages s of W[u ^ embed(s)], the same for every s: the
     # message bits are summed one at a time as lo + hi, the float that
-    # T[u] + T[u ^ (1 << j)] gives at either end, and the totals are tiled back
-    # over the messages so that the entropy sums one term per syndrome class.
+    # T[u] + T[u ^ (1 << j)] gives at either end.  Only the 2^zero_len distinct
+    # totals take a log; their x log2 x terms are tiled back over the messages
+    # so that the entropy sums one term per syndrome class.
     t = w
     for _ in range(code.k_msg):
         halves = t.reshape(-1, 2, 1 << code.zero_len)
         t = halves[:, 0] + halves[:, 1]
-    t = np.tile(t.reshape(-1), 1 << code.k_msg)
-    h_s_given_z = _entropy_bits(w) - _entropy_bits(t) / (1 << code.k_msg)
+    nz = t[t > 0]
+    h_t = -float(np.tile(nz * np.log2(nz), 1 << code.k_msg).sum())
+    h_s_given_z = _entropy_bits(w) - h_t / (1 << code.k_msg)
     delta = h_s_given_z / code.k_msg
     delta = min(max(delta, 0.0), 1.0)
     return EquivocationReport(
@@ -440,15 +448,46 @@ def _posterior_entropy_bits(code: CosetCode, z: np.ndarray, table: np.ndarray) -
     """H(S | Z = z) in bits for each output in the uint64 array z.
 
     Enumerates the fine code; table[d] is the BSC likelihood of a word at
-    Hamming distance d from z.  A row whose posterior has a zero entry
-    (p = 0, or an underflow) skips those entries, as 0 log 0 = 0.
+    Hamming distance d from z.  The words stream through two buffers of
+    about _POSTERIOR_BATCH_WORDS entries, allocated once per call and filled
+    in place: a batch of samples over the whole fine code, or, once the fine
+    code alone passes the budget, one sample over a run of whole messages.
+    Each per-message total is the same sum over the same 2^k_coarse
+    contiguous likelihoods however the runs fall.  A row whose posterior has
+    a zero entry (p = 0, or an underflow) skips those entries, as 0 log 0 = 0.
     """
-    likelihood = table[np.bitwise_count(z[:, None] ^ code._fine_words[None, :])]
-    per_message = likelihood.reshape(len(z), 1 << code.k_msg, 1 << code.k_coarse).sum(axis=2)
-    posterior = per_message / per_message.sum(axis=1)[:, None]
-    if (posterior > 0.0).all():
-        return -(posterior * np.log2(posterior)).sum(axis=1)
-    return np.array([_entropy_bits(row) for row in posterior])
+    words = code._fine_words
+    cosets, messages = 1 << code.k_coarse, 1 << code.k_msg
+    rows = max(1, _POSTERIOR_BATCH_WORDS >> code.k_fine)
+    span = min(messages, max(1, _POSTERIOR_BATCH_WORDS >> code.k_coarse))
+    dist = np.empty(rows * span * cosets, dtype=np.uint64)
+    likelihood = np.empty(len(dist), dtype=float)
+    per_message = np.empty((rows, messages), dtype=float)
+    out = np.empty(len(z), dtype=float)
+    for start in range(0, len(z), rows):
+        batch = z[start : start + rows, None]
+        count = len(batch)
+        for lo in range(0, messages, span):
+            hi = min(lo + span, messages)
+            size = count * (hi - lo) * cosets
+            run = dist[:size]
+            np.bitwise_xor(batch, words[lo * cosets : hi * cosets], out=run.reshape(count, -1))
+            # The distances overwrite the words as int64, the intp that take
+            # reads without a cast (it casts a uint8 index on every call); they
+            # lie in [0, n], so "clip" never clips.
+            index = run.view(np.int64)
+            np.bitwise_count(run, out=index)
+            np.take(table, index, out=likelihood[:size], mode="clip")
+            likelihood[:size].reshape(count, hi - lo, cosets).sum(
+                axis=2, out=per_message[:count, lo:hi]
+            )
+        posterior = per_message[:count]
+        posterior /= posterior.sum(axis=1)[:, None]
+        if (posterior > 0.0).all():
+            out[start : start + count] = -(posterior * np.log2(posterior)).sum(axis=1)
+        else:
+            out[start : start + count] = [_entropy_bits(row) for row in posterior]
+    return out
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -515,13 +554,8 @@ def monte_carlo_equivocation(
     p = wiretap.p
     d = np.arange(code.n + 1, dtype=float)
     table = p**d * (1.0 - p) ** (code.n - d)
-    batch = max(1, _POSTERIOR_BATCH_WORDS >> code.k_fine)
     outputs = _sample_outputs(code, p, samples, rng, workers)
-    per_sample = np.empty(samples, dtype=float)
-    for start in range(0, samples, batch):
-        per_sample[start : start + batch] = _posterior_entropy_bits(
-            code, outputs[start : start + batch], table
-        )
+    per_sample = _posterior_entropy_bits(code, outputs, table)
     per_sample /= code.k_msg
     mean = float(per_sample.mean())
     stderr = (

@@ -288,6 +288,20 @@ def test_code_file_bad_hex_names_file_and_field(tmp_path, capsys):
     assert f"error: {path}: '1,2:zz': non-hexadecimal" in err
 
 
+def test_key_file_spaced_hex_names_file_and_field(tmp_path, capsys):
+    key = tmp_path / "key.txt"
+    run(capsys, "lpn", "keygen", "--params", "4,8,16,28,0.005", "--seed", SEED, "--out", str(key))
+    lines = key.read_text().splitlines()
+    head, _, digits = lines[1].partition(":")
+    lines[1] = f"{head}:{digits[:2]} {digits[2:]}"
+    key.write_text("\n".join(lines) + "\n")
+    code, out, err = run(
+        capsys, "lpn", "encrypt", "--key", str(key), "--message", "0e", "--seed", "ab" * 16
+    )
+    assert (code, out) == (1, "")
+    assert f"error: {key}: {lines[1]!r}: whitespace inside the hex field" in err
+
+
 def test_quantizer_sweep(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from statistics import NormalDist
 from typing import NamedTuple
@@ -702,6 +703,17 @@ def test_monte_carlo_pinned_rows():
         assert report.to_csv_row() == row
 
 
+def _assert_posterior_equals_loop_reference(code, p, rows, budgets):
+    d = np.arange(code.n + 1, dtype=float)
+    table = p**d * (1.0 - p) ** (code.n - d)
+    with np.errstate(invalid="ignore"):  # 0/0 rows when every likelihood underflows
+        reference = [_loop_posterior_entropy_bits(code, z, p) for z in rows]
+        for words in budgets:
+            with mock.patch.object(coset, "_POSTERIOR_BATCH_WORDS", words):
+                batched = _posterior_entropy_bits(code, np.array(rows, dtype=np.uint64), table)
+            assert batched.tolist() == reference, words
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     code=_small_codes(),
@@ -710,14 +722,39 @@ def test_monte_carlo_pinned_rows():
 )
 def test_batched_posterior_equals_loop_reference(code, p, data):
     # 0.0 and 1e-300 give posteriors with zero entries (1e-300 by underflow),
-    # which take the per-row fallback.
+    # which take the per-row fallback.  Budgets of 1, 3 and 37 words split a
+    # sample into runs of messages, ragged where 37 >> k_coarse does not
+    # divide 2^k_msg, and a run is one message once 2^k_coarse passes them.
     rows = data.draw(st.lists(st.integers(0, (1 << code.n) - 1), min_size=1, max_size=300))
-    d = np.arange(code.n + 1, dtype=float)
-    table = p**d * (1.0 - p) ** (code.n - d)
-    with np.errstate(invalid="ignore"):  # 0/0 rows when every likelihood underflows
-        batched = _posterior_entropy_bits(code, np.array(rows, dtype=np.uint64), table)
-        reference = [_loop_posterior_entropy_bits(code, z, p) for z in rows]
-    assert batched.tolist() == reference
+    _assert_posterior_equals_loop_reference(
+        code, p, rows, (coset._POSTERIOR_BATCH_WORDS, 1, 3, 37)
+    )
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-300, 0.05, 0.3])
+def test_posterior_runs_of_one_message_at_default_budget(p):
+    # 2^k_coarse = 2^16 words per message passes the default budget, so each
+    # sample is walked one message at a time.
+    code = _random_code("run-k16", 20, 18, 16)
+    assert coset._POSTERIOR_BATCH_WORDS >> code.k_coarse == 0
+    stream = _rng("run-k16-rows")
+    rows = [0, (1 << 20) - 1, int(code._fine_words[5])] + [stream.next_bits(20) for _ in range(5)]
+    _assert_posterior_equals_loop_reference(code, p, rows, (coset._POSTERIOR_BATCH_WORDS,))
+
+
+def test_posterior_working_memory_bounded_by_budget():
+    # A (24, 20, 10) code has 2^20 fine-code words, 32 times the budget; a
+    # posterior that held a sample's likelihoods at once would trace >= 8 MB.
+    code = _random_code("mem-k20", 24, 20, 10)
+    code._fine_words  # the cached 8 MB table is the code's, not the call's
+    bound = 4 * (2 * 8 * coset._POSTERIOR_BATCH_WORDS)  # two 8-byte buffers, 4x slack
+    tracemalloc.start()
+    try:
+        monte_carlo_equivocation(code, Bsc(0.2), 8, _rng("mem-k20-mc"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

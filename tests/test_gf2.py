@@ -309,6 +309,17 @@ def test_hex_non_hex_digits_are_quoted(parse, text):
         parse(text)
 
 
+@pytest.mark.parametrize(
+    "parse, text",
+    [(BitVector.from_hex, "16:0b 0c"), (BitVector.from_hex, "16:0b\t0c"),
+     (BitVector.from_hex, "16: 0b0c"), (BitMatrix.from_hex, "2,8: 0b 0c")],
+)
+def test_hex_whitespace_inside_field_is_quoted(parse, text):
+    # bytes.fromhex would skip it, so the field would not round-trip.
+    with pytest.raises(ValueError, match=re.escape(f"{text!r}: whitespace inside the hex field")):
+        parse(text)
+
+
 def test_bitvector_rejects_padding():
     with pytest.raises(ValueError):
         BitVector(2, 0b100)
