@@ -36,7 +36,7 @@ from .lpn import (
     key_to_text,
     keygen,
 )
-from .gf2 import BitVector
+from .gf2 import BitVector, _packed_from_hex
 from .prng import prng_stream
 
 LOSS_CURVE_HEADER = "sigma_w_sq,p,p_w,i_xw,loss"
@@ -172,6 +172,8 @@ def _cmd_loss_curve(args) -> str:
 def _cmd_equivocation(args) -> str:
     p_w = _required(args, "p-w")
     _check_crossover("--p-w", p_w)
+    if args.example1 and args.code_file is not None:
+        raise ValueError("--example1 and --code-file each name a code; give one")
     if args.example1:
         code = example1_code()
     elif args.code_file is not None:
@@ -212,17 +214,9 @@ def _cmd_lpn(args) -> str:
         seed = _required(args, "seed")
         text = _required(args, "message")
         try:
-            raw = bytes.fromhex(text)
+            bits = _packed_from_hex(text, text, params.l)  # the rule of every hex file field
         except ValueError as exc:
-            raise ValueError(f"--message {text!r}: not hex bytes ({exc})") from exc
-        nbytes = (params.l + 7) // 8
-        if len(raw) != nbytes:
-            raise ValueError(
-                f"--message {text!r}: {params.l} bits need {nbytes} hex bytes, got {len(raw)}"
-            )
-        bits = int.from_bytes(raw, "little")
-        if bits >> params.l:
-            raise ValueError(f"--message {text!r}: message does not fit in {params.l} bits")
+            raise ValueError(f"--message {exc}") from None
         ct = encrypt(key, params, BitVector(params.l, bits), _parse_seed(seed))
         return ciphertext_to_text(ct)
     ct = _read(_required(args, "ct"), ciphertext_from_text)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coset import CosetCode, code_from_text, code_to_text, decode_ml, encode
+from .coset import MAX_ENUM_K_FINE, CosetCode, code_from_text, code_to_text, decode_ml, encode
 from .gf2 import (
     BitMatrix, BitVector, _header_counts, invert, mat_mul, mat_vec_mul, random_full_rank, xor_rows
 )
@@ -103,6 +103,10 @@ _HAMMING_ROWS = (0b1010101, 0b0110011, 0b0001111)
 _HAMMING_BLOCK_LEN = 7
 _HAMMING_MSG_PER_BLOCK = 2
 _HAMMING_RADIUS = 1
+# Each block adds 4 fine-code bits and 3 syndrome rows.  From 6 blocks (m = 12)
+# the coset-leader table's 2^(3m/2) syndromes pass MAX_LEADER_PATTERNS, so
+# decode_ml enumerates the 2^(2m) fine-code words, which MAX_ENUM_K_FINE caps.
+_HAMMING_MAX_BLOCKS = MAX_ENUM_K_FINE // 4
 
 
 def _hamming_block_code(blocks: int) -> CosetCode:
@@ -124,14 +128,21 @@ def _hamming_block_code(blocks: int) -> CosetCode:
 
 
 def registered_code(n: int, m: int) -> CosetCode:
-    """The registered inner code for (n, m), or ValueError if none fits."""
+    """The registered inner code for (n, m), or ValueError if none fits or
+    its ciphertexts could not be decoded within the enumeration budget."""
     blocks, rem = divmod(m, _HAMMING_MSG_PER_BLOCK)
-    if rem == 0 and blocks >= 1 and n == blocks * _HAMMING_BLOCK_LEN:
-        return _hamming_block_code(blocks)
-    raise ValueError(
-        f"no registered code family for n={n}, m={m} "
-        f"(have: Hamming blocks with n = 7m/2, m even)"
-    )
+    if rem or blocks < 1 or n != blocks * _HAMMING_BLOCK_LEN:
+        raise ValueError(
+            f"no registered code family for n={n}, m={m} "
+            f"(have: Hamming blocks with n = 7m/2, m even)"
+        )
+    if blocks > _HAMMING_MAX_BLOCKS:
+        raise ValueError(
+            f"m={m} is past the registered family's decoding budget: its 2^{2 * m} "
+            f"fine-code words pass 2^{MAX_ENUM_K_FINE} (have: even m <= "
+            f"{_HAMMING_MAX_BLOCKS * _HAMMING_MSG_PER_BLOCK})"
+        )
+    return _hamming_block_code(blocks)
 
 
 def correction_radius(params: LpnParams) -> int:

@@ -259,6 +259,17 @@ def test_equivocation_code_file(tmp_path, capsys):
     assert 0.0 <= value <= 1.0
 
 
+def test_equivocation_refuses_two_codes(tmp_path, capsys):
+    # --example1 would win, and a --code-file that does not even exist would
+    # be ignored without a word.
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(
+        capsys, "equivocation", "--example1", "--code-file", str(missing), "--p-w", "0.2"
+    )
+    assert (code, out) == (1, "")
+    assert "--example1 and --code-file" in err, err
+
+
 def test_equivocation_budget_reported(tmp_path, capsys):
     from wiretaplab.coset import code_to_text, uncoded_code
 
@@ -418,7 +429,7 @@ def test_lpn_message_too_long(tmp_path, capsys):
         "--seed", SEED,
     )
     assert code == 1
-    assert "fit" in err
+    assert "--message 'ff': 4 bits need 1 hex bytes, zero-padded" in err, err
 
 
 def test_config_file_precedence(tmp_path, capsys):
@@ -538,7 +549,7 @@ def test_lpn_message_errors_name_the_option(tmp_path, capsys):
             "--seed", SEED,
         )
         assert (code, out) == (1, ""), message
-        assert f"--message '{message}': not hex bytes" in err, err
+        assert f"--message '{message}': non-hexadecimal number" in err, err
 
 
 def test_lpn_message_of_wrong_byte_count_rejected(tmp_path, capsys):
@@ -547,13 +558,26 @@ def test_lpn_message_of_wrong_byte_count_rejected(tmp_path, capsys):
     key = tmp_path / "key.txt"
     run(capsys, "lpn", "keygen", "--params", "4,8,16,28,0.05", "--seed", SEED,
         "--out", str(key))
-    for message, got in (("", 0), ("0b00", 2), ("000b", 2)):
+    for message in ("", "0b00", "000b"):
         code, out, err = run(
             capsys, "lpn", "encrypt", "--key", str(key), "--message", message,
             "--seed", SEED,
         )
         assert (code, out) == (1, ""), message
-        assert f"--message '{message}': 4 bits need 1 hex bytes, got {got}" in err, err
+        assert f"--message '{message}': 4 bits need 1 hex bytes, zero-padded" in err, err
+
+
+def test_lpn_message_with_whitespace_in_hex_rejected(tmp_path, capsys):
+    # l = 10 packs into two bytes; bytes.fromhex alone would skip the space
+    # between them, which every hex field of a key or ciphertext file refuses.
+    key = tmp_path / "key.txt"
+    run(capsys, "lpn", "keygen", "--params", "10,10,16,35,0.005", "--seed", SEED,
+        "--out", str(key))
+    code, out, err = run(
+        capsys, "lpn", "encrypt", "--key", str(key), "--message", "0a 01", "--seed", SEED
+    )
+    assert (code, out) == (1, "")
+    assert "--message '0a 01': whitespace inside the hex field" in err, err
 
 
 def test_config_list_and_out_match_flags(tmp_path, capsys):

@@ -35,6 +35,7 @@ from wiretaplab.infometrics import _entropy_bits, binary_entropy
 from wiretaplab.lpn import registered_code
 from wiretaplab.prng import PrngStream, prng_stream
 
+import checks
 from test_gf2 import _solve
 
 P_UNIT = 0.15865525393145707
@@ -84,32 +85,6 @@ def _random_code(label, n, k_fine, k_coarse):
     return random_coset_code(_rng(label), params)
 
 
-def _brute_force_equivocation(code, p):
-    """Direct H(S|Z)/K over all 2^n outputs and all codewords."""
-    n, k_c, k_m = code.n, code.k_coarse, code.k_msg
-    cosets = code._fine_words.reshape(1 << k_m, 1 << k_c)
-    q = 1.0 - p
-    total = 0.0
-    for z in range(1 << n):
-        weights = []
-        for s in range(1 << k_m):
-            acc = 0.0
-            for word in cosets[s]:
-                d = bin(int(word) ^ z).count("1")
-                acc += p**d * q ** (n - d)
-            weights.append(acc / (1 << k_c))
-        p_z = sum(weights) / (1 << k_m)
-        if p_z <= 0.0:
-            continue
-        h_z = 0.0
-        for weight in weights:
-            post = weight / (1 << k_m) / p_z
-            if post > 0.0:
-                h_z -= post * math.log2(post)
-        total += p_z * h_z
-    return total / k_m
-
-
 def _loop_posterior_entropy_bits(code, z_bits, p):
     """H(S | Z = z) for one output, one p**d per fine-code word: the form the
     batched posterior replaced, kept as its reference."""
@@ -148,6 +123,25 @@ def _small_codes(draw, max_n=12):
     k_coarse = draw(st.integers(0, k_fine - 1))
     params = WiretapCodeParams(n, k_fine, k_coarse, k_fine - k_coarse, 0.01)
     return random_coset_code(_rng(f"prop-code-{draw(st.integers(0, 2**32))}"), params)
+
+
+# Checked against bench's transform reference: the four codes of the brute
+# force it replaced, then 16 syndrome rows at n = 24 and 20 at n = 32.
+REFERENCE_CASES = [
+    (_random_code("bf-1", 8, 5, 2), 0.1),
+    (_random_code("bf-2", 8, 5, 2), 0.3),
+    (_hamming_coset_code(), 0.25),
+    (_random_code("bf-3", 6, 4, 3), 0.2),
+    (_random_code("edge-code", 24, 16, 8), 0.11),
+    (_random_code("rows-32", 32, 16, 12), 0.11),
+]
+REFERENCE_P = st.one_of(st.sampled_from([0.0, 1e-300, 0.5]), st.floats(0.0, 0.5))
+
+
+def _reference_examples(test):
+    for code, p in REFERENCE_CASES:
+        test = example(code=code, p=p)(test)
+    return test
 
 
 # --- params_from_channel -----------------------------------------------------
@@ -488,17 +482,12 @@ def test_exact_equivocation_uncoded_baseline():
         assert abs(report.equivocation - binary_entropy(p_w)) < 1e-12
 
 
-def test_exact_equivocation_matches_brute_force():
-    cases = [
-        (_random_code("bf-1", 8, 5, 2), 0.1),
-        (_random_code("bf-2", 8, 5, 2), 0.3),
-        (_hamming_coset_code(), 0.25),
-        (_random_code("bf-3", 6, 4, 3), 0.2),
-    ]
-    for code, p in cases:
-        exact = exact_equivocation(code, Bsc(p)).equivocation
-        brute = _brute_force_equivocation(code, p)
-        assert abs(exact - brute) < 1e-12
+@settings(max_examples=200, deadline=None)
+@given(code=_small_codes(max_n=14), p=REFERENCE_P)
+@_reference_examples
+def test_exact_equivocation_matches_transform_reference(code, p):
+    reference = checks.syndrome_equivocation(code.h.row_words, code.zero_len, code.msg_len, p)
+    assert abs(exact_equivocation(code, Bsc(p)).equivocation - reference) <= checks.EXACT_TOL
 
 
 def test_exact_equivocation_monotone_in_crossover():
@@ -514,25 +503,6 @@ def test_exact_equivocation_budget():
     budget = "n - k_coarse <= 24 syndrome rows; got 25 rows"
     with pytest.raises(EnumerationBudgetError, match=budget):
         exact_equivocation(uncoded_code(25), Bsc(0.1))
-
-
-def test_exact_equivocation_at_budget_edge():
-    # (24, 16, 8): 16 syndrome rows, well inside the exact budget; cross-checked
-    # by Monte Carlo.
-    params = WiretapCodeParams(24, 16, 8, 8, 0.01)
-    code = random_coset_code(_rng("edge-code"), params)
-    exact = exact_equivocation(code, Bsc(0.11)).equivocation
-    mc = monte_carlo_equivocation(code, Bsc(0.11), 600, _rng("edge-mc"))
-    assert abs(mc.equivocation - exact) <= 3 * mc.stderr
-
-
-def test_exact_equivocation_budget_counts_syndrome_rows():
-    # n = 32 with 20 syndrome rows: past n = 24, but within the row budget, as
-    # exact's cost is set by its 2^(n - k_coarse) syndrome classes.
-    code = _random_code("rows-32", 32, 16, 12)
-    exact = exact_equivocation(code, Bsc(0.11)).equivocation
-    mc = monte_carlo_equivocation(code, Bsc(0.11), 600, _rng("rows-32-mc"))
-    assert abs(mc.equivocation - exact) <= 3 * mc.stderr
 
 
 def test_exact_equivocation_serves_length_past_word_packing():
@@ -765,6 +735,29 @@ def test_monte_carlo_within_four_stderr_of_exact(code, p):
     # A code whose per-sample entropy is constant has a stderr at float-noise
     # level; the 1e-12 floor covers the summation error of the two methods.
     assert abs(report.equivocation - exact) <= 4 * report.stderr + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(code=_small_codes(max_n=14), p=REFERENCE_P)
+@_reference_examples
+def test_monte_carlo_rows_equal_syndrome_weight_posteriors(code, p):
+    # z = x ^ e with x in message s's coset, so P(s | z) is proportional to
+    # W[syndrome(z) ^ (s << zero_len)], W the noise's syndrome weights that
+    # exact sums and the transform checks.  Each sampled row's entropy, and
+    # the report's mean of them, must match that posterior's.
+    w = coset._syndrome_weights(code, p)
+    shifts = np.arange(1 << code.k_msg) << code.zero_len
+    z = coset._sample_outputs(code, p, 40, _rng("mc-rows"), 1)
+    reference = []
+    for bits in z.tolist():
+        weights = w[row_parities(code.h.row_words, bits) ^ shifts]
+        posterior = weights[weights > 0] / weights.sum()
+        reference.append(-float((posterior * np.log2(posterior)).sum()))
+    d = np.arange(code.n + 1, dtype=float)
+    rows = _posterior_entropy_bits(code, z, p**d * (1.0 - p) ** (code.n - d))
+    assert np.abs(rows - reference).max() <= checks.EXACT_TOL
+    report = monte_carlo_equivocation(code, Bsc(p), 40, _rng("mc-rows"))
+    assert abs(report.equivocation - np.mean(reference) / code.k_msg) <= checks.EXACT_TOL
 
 
 def _per_sample_outputs(code, p, samples, rng, workers):

@@ -1,9 +1,8 @@
 import importlib
-import importlib.util
 import pkgutil
 import types
-from pathlib import Path
 
+import spans
 import wiretaplab
 
 
@@ -26,10 +25,6 @@ def test_bench_tracer_names_exist():
     # bench/spans.py patches CLASS_METHODS on their classes (a missing one
     # raises KeyError in a traced run) and wraps EXTRA functions by name (a
     # missing one is skipped without a word), so a rename must update it.
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
     for (layer, cls_name), methods in spans.CLASS_METHODS.items():
         cls = getattr(importlib.import_module(f"wiretaplab.{layer}"), cls_name)
         for method in methods:

@@ -41,9 +41,11 @@ class _ZeroRng:
         return 0
 
 
-def _replay_draws(params, seed_label):
-    """Re-derive (r, u, v) for one encrypt call from the same stream."""
+def _replay_draws(params, seed_label, skip=0):
+    """Re-derive (r, u, v) for one encrypt call from the same stream, after
+    the `skip` bits drawn before it (a message drawn from the stream)."""
     rng = _rng(seed_label)
+    rng.next_bits(skip)
     r = BitVector(params.m - params.l, rng.next_bits(params.m - params.l))
     u = BitVector(params.k, rng.next_bits(params.k))
     v = 0
@@ -83,6 +85,24 @@ def test_registered_code_rejects_unknown():
         registered_code(29, 8)
     with pytest.raises(ValueError):
         keygen(_rng("bad"), LpnParams(l=4, m=8, k=16, n=29, p=0.05))
+
+
+def test_registered_family_decrypts_every_m_it_accepts():
+    # From m = 12 decode_ml has neither a leader table nor a fine-code walk in
+    # budget, so every decrypt would raise: keygen refuses those m instead.
+    accepted = []
+    for m in range(2, 15):
+        params = LpnParams(l=m, m=m, k=8, n=7 * m // 2, p=0.005)
+        try:
+            key = keygen(_rng(f"family-{m}"), params)
+        except ValueError as exc:
+            assert f"m={m}" in str(exc)
+            continue
+        accepted.append(m)
+        rng = _rng(f"family-{m}-msg")
+        a = BitVector(m, rng.next_bits(m))
+        assert decrypt(key, params, encrypt(key, params, a, rng)) == a
+    assert accepted == [2, 4, 6, 8, 10]
 
 
 # --- keygen ----------------------------------------------------------------------
@@ -214,25 +234,13 @@ def test_decrypt_roundtrip_statistics():
         msg_rng = _rng(label)
         a = BitVector(params.l, msg_rng.next_bits(params.l))
         ct = encrypt(key, params, a, msg_rng)
-        _, _, v, _ = _replay_draws_after_message(params, label)
+        _, _, v, _ = _replay_draws(params, label, skip=params.l)
         ok = decrypt(key, params, ct) == a
         successes += ok
         if v.bits.bit_count() <= 1 and not ok:
             conditional_failures += 1
     assert conditional_failures == 0
     assert successes / trials >= 0.98
-
-
-def _replay_draws_after_message(params, label):
-    """Replay the draw sequence of test_decrypt_roundtrip_statistics."""
-    rng = _rng(label)
-    rng.next_bits(params.l)  # the message drawn before encrypt
-    r = BitVector(params.m - params.l, rng.next_bits(params.m - params.l))
-    u = BitVector(params.k, rng.next_bits(params.k))
-    v = 0
-    for i in range(params.n):
-        v |= rng.bernoulli(params.p) << i
-    return r, u, BitVector(params.n, v), rng
 
 
 def test_ciphertext_from_text_rejects_short_z():
