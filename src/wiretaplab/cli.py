@@ -214,7 +214,8 @@ def _cmd_lpn(args) -> str:
         seed = _required(args, "seed")
         text = _required(args, "message")
         try:
-            bits = _packed_from_hex(text, text, params.l)  # the rule of every hex file field
+            # A file line's rule: outer whitespace goes, whitespace inside is refused.
+            bits = _packed_from_hex(text, text.strip(), params.l)
         except ValueError as exc:
             raise ValueError(f"--message {exc}") from None
         ct = encrypt(key, params, BitVector(params.l, bits), _parse_seed(seed))

@@ -154,22 +154,25 @@ def params_from_channel(n: int, p: float, p_w: float, epsilon: float) -> Wiretap
     return WiretapCodeParams(n, k_fine, k_coarse, k_fine - k_coarse, epsilon)
 
 
+@dataclass(frozen=True)
 class CosetCode:
-    """Parity-check matrix plus syndrome layout; immutable after construction."""
+    """Full-row-rank parity-check matrix h and its syndrome layout: the first
+    zero_len syndrome bits are pinned to zero (the fine code), the last
+    msg_len carry the message.  Equal codes have equal fields."""
 
-    def __init__(self, h: BitMatrix, zero_len: int, msg_len: int):
-        if zero_len < 0 or msg_len < 0:
+    h: BitMatrix
+    zero_len: int
+    msg_len: int
+
+    def __post_init__(self):
+        if self.zero_len < 0 or self.msg_len < 0:
             raise ValueError("negative syndrome block length")
-        if zero_len + msg_len != h.rows:
+        if self.zero_len + self.msg_len != self.h.rows:
             raise ValueError(
-                f"syndrome layout {zero_len}+{msg_len} != {h.rows} rows"
+                f"syndrome layout {self.zero_len}+{self.msg_len} != {self.h.rows} rows"
             )
-        self._elimination = Elimination(h)
-        if self._elimination.rank != h.rows:
+        if self._elimination.rank != self.h.rows:
             raise ValueError("parity-check matrix must have full row rank")
-        self.h = h
-        self.zero_len = zero_len
-        self.msg_len = msg_len
 
     @property
     def n(self) -> int:
@@ -197,17 +200,10 @@ class CosetCode:
             f"k_coarse={self.k_coarse}, k_msg={self.k_msg})"
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, CosetCode):
-            return NotImplemented
-        return (
-            self.h == other.h
-            and self.zero_len == other.zero_len
-            and self.msg_len == other.msg_len
-        )
-
-    def __hash__(self):
-        return hash((self.h, self.zero_len, self.msg_len))
+    @cached_property
+    def _elimination(self) -> Elimination:
+        """h's elimination: the rank check, the generators and exact's relabelling."""
+        return Elimination(self.h)
 
     @cached_property
     def _generators(self) -> tuple:
@@ -287,7 +283,8 @@ def _build_leader_table(code: CosetCode) -> _LeaderTable | None:
     cols = [col & (size - 1) for col in code._columns]
     words = np.zeros(1, dtype=np.uint64)
     syndromes = np.zeros(1, dtype=np.int32)
-    tops = np.full(1, -1, dtype=np.int8)  # highest set bit of each pattern
+    # ends[b]: how many patterns of the current weight have no bit at b or above.
+    ends = np.ones(code.n, dtype=np.intp)
     leaders = np.zeros(size, dtype=np.uint64)
     reached = np.zeros(size, dtype=bool)
     ties = {}
@@ -309,14 +306,13 @@ def _build_leader_table(code: CosetCode) -> _LeaderTable | None:
         enumerated += len(words)
         if enumerated + math.comb(code.n, weight) > MAX_LEADER_PATTERNS:
             return None
-        ends = np.searchsorted(tops, np.arange(code.n))
         words = np.concatenate(
             [words[:end] | np.uint64(1 << b) for b, end in enumerate(ends)]
         )
         syndromes = np.concatenate(
             [syndromes[:end] ^ np.int32(cols[b]) for b, end in enumerate(ends)]
         )
-        tops = np.repeat(np.arange(code.n, dtype=np.int8), ends)
+        ends = np.cumsum(ends) - ends
 
 
 def decode_ml(code: CosetCode, y: BitVector, p: float) -> BitVector:

@@ -49,12 +49,12 @@ def _packed_from_hex(text: str, hexpart: str, nbits: int) -> int:
     try:
         raw = bytes.fromhex(hexpart)
     except ValueError as exc:
-        raise ValueError(f"{text.strip()!r}: {exc}") from None
+        raise ValueError(f"{text!r}: {exc}") from None
     if len(hexpart) != 2 * len(raw):  # fromhex skips whitespace between bytes
-        raise ValueError(f"{text.strip()!r}: whitespace inside the hex field")
+        raise ValueError(f"{text!r}: whitespace inside the hex field")
     if len(raw) != (nbits + 7) // 8 or int.from_bytes(raw, "little") >> nbits:
         nbytes = (nbits + 7) // 8
-        raise ValueError(f"{text.strip()!r}: {nbits} bits need {nbytes} hex bytes, zero-padded")
+        raise ValueError(f"{text!r}: {nbits} bits need {nbytes} hex bytes, zero-padded")
     return int.from_bytes(raw, "little")
 
 

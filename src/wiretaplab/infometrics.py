@@ -94,37 +94,29 @@ def awgn_mutual_information(sigma_tot_sq: float, tol: float = 1e-9) -> float:
 def _quantized_mi_bits(sigma_tot_sq: float, quantizers) -> list:
     """I(X; Z_q) in bits for each quantizer q, all in one numpy pass.
 
-    X is uniform on {-1, +1} and Z_q quantizes X + N(0, sigma_tot_sq).  Every
-    threshold of every quantizer gives z = (t - x)/sigma for both x, and one
-    map of erfc over the 2n values gives its tail 0.5 erfc(|z|/sqrt 2): the
-    lower tail F(z) for z <= 0 and the upper tail S(z) for z > 0.  A cell
-    (a, b] is F(b) - F(a) below the median, S(a) - S(b) above it, and
-    1 - F(a) - S(b) where it straddles it, so no cell is the difference of
-    two values near 1; the open extreme cells read a sentinel tail of 0.
-    The entropies of the two rows and of their mixture are one reduction
-    over the cells of each quantizer.
+    X is uniform on {-1, +1} and Z_q quantizes X + N(0, sigma_tot_sq).  Each
+    quantizer's edges are -inf, its thresholds, +inf, and every edge t gives
+    z = (t - x)/sigma for both x; one map of erfc over the values gives each
+    tail 0.5 erfc(|z|/sqrt 2), the lower tail F(z) for z <= 0 and the upper
+    tail S(z) for z > 0 (both 0 at an infinite edge).  A cell (a, b] is
+    F(b) - F(a) below the median, S(a) - S(b) above it, and 1 - F(a) - S(b)
+    where it straddles it, so no cell is the difference of two values near 1.
+    The entropies of the two rows and of their mixture are one reduction over
+    the cells of each quantizer.
     """
     _check_variance("sigma_tot_sq", sigma_tot_sq, positive=True)
     sigma = math.sqrt(sigma_tot_sq)
-    sizes = np.array([len(q.thresholds) for q in quantizers], dtype=np.intp)
-    t = np.fromiter(chain.from_iterable(q.thresholds for q in quantizers), float)
-    n = t.size
-    # Column n is the sentinel end of the open extreme cells: tail 0, and z
-    # NaN, which makes both sign tests below false there.
-    z = np.full((2, n + 1), math.nan)
-    z[:, :n] = (t - np.array([[-1.0], [1.0]])) / sigma
-    tails = np.zeros((2, n + 1))
-    scaled = (np.abs(z[:, :n]) / math.sqrt(2.0)).ravel().tolist()
-    tails[:, :n] = 0.5 * np.fromiter(map(math.erfc, scaled), float, 2 * n).reshape(2, n)
-    # Cell c of quantizer k lies between thresholds c - k - 1 and c - k of
-    # the concatenation; the first and last cell of each quantizer are open.
-    cells_per_q = sizes + 1
+    edges = chain.from_iterable((-math.inf, *q.thresholds, math.inf) for q in quantizers)
+    z = (np.fromiter(edges, float) - np.array([[-1.0], [1.0]])) / sigma
+    scaled = (np.abs(z) / math.sqrt(2.0)).ravel().tolist()
+    tails = 0.5 * np.fromiter(map(math.erfc, scaled), float, z.size).reshape(z.shape)
+    # Cell c of quantizer k lies between edges c + k and c + k + 1 of the
+    # concatenation: the gap from one quantizer's +inf to the next's -inf is
+    # no cell.
+    cells_per_q = np.array([len(q.thresholds) + 1 for q in quantizers], dtype=np.intp)
     starts = np.cumsum(cells_per_q) - cells_per_q
-    right = np.arange(n + len(quantizers)) - np.repeat(np.arange(len(quantizers)), cells_per_q)
-    left = right - 1
-    left[starts] = n
-    right[starts + sizes] = n
-    f_a, f_b, z_a, z_b = tails[:, left], tails[:, right], z[:, left], z[:, right]
+    left = np.arange(cells_per_q.sum()) + np.repeat(np.arange(len(quantizers)), cells_per_q)
+    f_a, f_b, z_a, z_b = tails[:, left], tails[:, left + 1], z[:, left], z[:, left + 1]
     rows = np.where(z_b <= 0.0, f_b - f_a, np.where(z_a > 0.0, f_a - f_b, 1.0 - f_a - f_b))
     dist = np.vstack((rows, 0.5 * (rows[0] + rows[1])))
     terms = dist * np.log2(np.where(dist > 0.0, dist, 1.0))

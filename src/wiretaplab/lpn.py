@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coset import MAX_ENUM_K_FINE, CosetCode, code_from_text, code_to_text, decode_ml, encode
+from .coset import MAX_ENUM_K_FINE, CosetCode, code_to_text, decode_ml, encode
 from .gf2 import (
     BitMatrix, BitVector, _header_counts, invert, mat_mul, mat_vec_mul, random_full_rank, xor_rows
 )
@@ -210,20 +210,21 @@ def key_to_text(key: LpnKey, params: LpnParams) -> str:
 
 
 def key_from_text(text: str) -> tuple:
-    """Parse a key file; returns (key, params)."""
+    """Parse a key file; returns (key, params).  Its code lines must be the
+    registered code for (n, m), as `code_to_text` writes it."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 5 or not lines[0].startswith(KEY_HEADER):
         raise ValueError("not a v1 lpn key file")
     params = LpnParams.from_text(lines[0][len(KEY_HEADER):])
     s_matrix = BitMatrix.from_hex(lines[1])
     mixing = BitMatrix.from_hex(lines[2])
-    code = code_from_text("\n".join(lines[3:]))
+    code = registered_code(params.n, params.m)
+    if [ln.strip() for ln in lines[3:]] != code_to_text(code).splitlines():
+        raise ValueError(f"code lines are not the registered code for n={params.n}, m={params.m}")
     if s_matrix.rows != params.k or s_matrix.cols != params.n:
         raise ValueError("S shape inconsistent with params")
     if mixing.rows != params.m or mixing.cols != params.m:
         raise ValueError("M shape inconsistent with params")
-    if code.n != params.n or code.k_msg != params.m:
-        raise ValueError("code shape inconsistent with params")
     mixing_inv = invert(mixing)
     if mat_mul(mixing, mixing_inv) != BitMatrix.identity(params.m):
         raise ValueError("mixing matrix failed inversion check")

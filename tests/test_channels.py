@@ -184,6 +184,11 @@ def test_quantizer_requires_ascending():
         Quantizer((0.0, 0.0))
 
 
+def test_quantizer_requires_a_threshold():
+    with pytest.raises(ValueError, match=re.escape("need at least one threshold (L >= 2)")):
+        Quantizer(())
+
+
 @pytest.mark.parametrize(
     "thresholds, index",
     [((math.nan,), 0), ((-1.0, math.nan, 1.0), 1), ((0.0, 1.0, math.nan), 2), ((math.nan, 0.0), 0)],

@@ -270,6 +270,12 @@ def test_equivocation_refuses_two_codes(tmp_path, capsys):
     assert "--example1 and --code-file" in err, err
 
 
+def test_equivocation_requires_a_code(capsys):
+    code, out, err = run(capsys, "equivocation", "--p-w", "0.2")
+    assert (code, out) == (1, "")
+    assert "need --example1 or --code-file" in err, err
+
+
 def test_equivocation_budget_reported(tmp_path, capsys):
     from wiretaplab.coset import code_to_text, uncoded_code
 
@@ -458,6 +464,11 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     code, out, err = run(capsys, "equivocation", "--config", str(cfg))
     assert (code, out) == (1, "")
     assert "unknown config key 'example1'" in err
+    # A line with no '=' is no key=value pair.
+    cfg.write_text("sigma-m-sq 1\n")
+    code, out, err = run(capsys, "capacity", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert "bad config line (want key=value): 'sigma-m-sq 1'" in err, err
 
 
 def test_config_bad_value_names_key_and_file(tmp_path, capsys):
@@ -573,11 +584,25 @@ def test_lpn_message_with_whitespace_in_hex_rejected(tmp_path, capsys):
     key = tmp_path / "key.txt"
     run(capsys, "lpn", "keygen", "--params", "10,10,16,35,0.005", "--seed", SEED,
         "--out", str(key))
-    code, out, err = run(
-        capsys, "lpn", "encrypt", "--key", str(key), "--message", "0a 01", "--seed", SEED
-    )
-    assert (code, out) == (1, "")
-    assert "--message '0a 01': whitespace inside the hex field" in err, err
+    # The value is quoted as given, outer whitespace and all.
+    for message in ("0a 01", " 0a 01", "0a\t01 "):
+        code, out, err = run(
+            capsys, "lpn", "encrypt", "--key", str(key), "--message", message, "--seed", SEED
+        )
+        assert (code, out) == (1, ""), message
+        assert f"--message {message!r}: whitespace inside the hex field" in err, err
+
+
+def test_lpn_message_outer_whitespace_is_stripped(tmp_path, capsys):
+    # As on a line of a key or ciphertext file, whitespace around the hex goes.
+    key = tmp_path / "key.txt"
+    run(capsys, "lpn", "keygen", "--params", "4,8,16,28,0.05", "--seed", SEED,
+        "--out", str(key))
+    argv = ("lpn", "encrypt", "--key", str(key), "--seed", SEED, "--message")
+    plain = run(capsys, *argv, "0b")
+    assert plain[0] == 0
+    for message in (" 0b", "0b ", "\t0b\n"):
+        assert run(capsys, *argv, message) == plain, repr(message)
 
 
 def test_config_list_and_out_match_flags(tmp_path, capsys):

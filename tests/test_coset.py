@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from statistics import NormalDist
@@ -226,6 +228,26 @@ def test_coset_code_rejects_bad_layout():
         CosetCode(BitMatrix.identity(3), zero_len=1, msg_len=1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: WiretapCodeParams(8, 3, 4, -1, 0.01), "need 0 <= k_coarse <= k_fine <= n"),
+        (lambda: WiretapCodeParams(8, 4, 2, 1, 0.01), "k_msg must equal k_fine - k_coarse"),
+        (lambda: CosetCode(BitMatrix.identity(2), zero_len=-1, msg_len=3),
+         "negative syndrome block length"),
+        (lambda: decode_ml(example1_code(), BitVector.zeros(3), 0.1), "received length 3 != n = 2"),
+        (lambda: monte_carlo_equivocation(example1_code(), Bsc(0.2), 10, _rng("w0"), workers=0),
+         "workers must be >= 1"),
+        (lambda: monte_carlo_equivocation(ZERO_MSG_CODE, Bsc(0.2), 10, _rng("k0")),
+         "code carries no message bits"),
+        (lambda: code_from_text("2,1,0\n"), "expected a header line and a matrix line"),
+    ],
+)
+def test_bad_input_rejected_where_it_enters(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 # --- encoding ----------------------------------------------------------------
 
 
@@ -381,6 +403,23 @@ def test_table_decode_equals_enumeration(code, words, p):
     for bits in words:
         y = BitVector(code.n, bits & ((1 << code.n) - 1))
         assert decode_ml(code, y, p) == _enum_decode_ml(code, y, p)
+
+
+def _leader_table_digest(table):
+    return hashlib.sha256(
+        table.leaders.tobytes() + repr(sorted(table.ties.items())).encode()
+    ).hexdigest()
+
+
+def test_leader_tables_pinned():
+    # Leaders and ties of the LPN code and of a tied (24, 16, 8) code, as the
+    # weight-by-weight enumeration gives them.
+    assert _leader_table_digest(registered_code(28, 8)._leader_table) == (
+        "6369c04b4c6948a4ddfbd8f2886b0ff4d32f19028f58f1b9f094379174442414"
+    )
+    assert _leader_table_digest(_random_code("table-k16", 24, 16, 8)._leader_table) == (
+        "92464309985ed17ecd6ebfa2b9244c0f3dfb91db3fd25c6fe856824148855181"
+    )
 
 
 def test_leader_table_rule():

@@ -320,6 +320,31 @@ def test_hex_whitespace_inside_field_is_quoted(parse, text):
         parse(text)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: BitVector(-1, 0), ValueError, "negative length"),
+        (lambda: BitVector.from_bits([0, 2]), ValueError, "bits must be 0 or 1"),
+        (lambda: BitVector.zeros(2)[2], IndexError, "2"),
+        (lambda: BitVector.zeros(1) ^ BitVector.zeros(2), ValueError, "length mismatch: 1 vs 2"),
+        (lambda: BitVector.zeros(3).slice(2, 1), ValueError, "bad slice [2:1] of len 3"),
+        (lambda: BitMatrix(-1, 2, ()), ValueError, "negative shape"),
+        (lambda: BitMatrix(2, 2, (1,)), ValueError, "row count mismatch"),
+        (lambda: BitMatrix(1, 2, (4,)), ValueError, "row padding bits beyond cols must be zero"),
+        (lambda: BitMatrix.from_rows([[1, 0], [1]]), ValueError, "ragged rows"),
+        (lambda: BitMatrix.from_rows([]), ValueError, "need explicit shape for an empty matrix"),
+        (lambda: BitMatrix.zeros(2, 2)[0, 2], IndexError, "(0, 2)"),
+        (lambda: mat_mul(BitMatrix.zeros(2, 3), BitMatrix.zeros(2, 3)), ValueError,
+         "dimension mismatch: 2x3 @ 2x3"),
+        (lambda: Elimination(HAMMING_H).particular(BitVector.zeros(2)), ValueError,
+         "dimension mismatch: target len 2, 3 rows"),
+    ],
+)
+def test_constructors_and_dimensions_reject_bad_input(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
 def test_bitvector_rejects_padding():
     with pytest.raises(ValueError):
         BitVector(2, 0b100)

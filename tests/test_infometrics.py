@@ -294,6 +294,26 @@ def test_quantized_mi_matches_loop_reference(q, sigma_tot_sq):
     assert abs(got - _loop_quantized_mi(sigma_tot_sq, q)) <= 1e-14
 
 
+def test_quantized_mi_infinite_thresholds_pinned():
+    # An infinite threshold leaves an empty extreme cell; a quantizer whose one
+    # nonempty cell is all of R carries nothing.
+    inf = math.inf
+    quantizers = [
+        Quantizer((-inf, 0.0, inf)), Quantizer((-inf, -1.0, 0.0, 1.0, inf)),
+        Quantizer((-inf, 0.5)), Quantizer((-0.25, inf)),
+        Quantizer((-inf,)), Quantizer((inf,)), Quantizer((-inf, inf)),
+    ]
+    pins = {
+        0.06: [0.999623566896467, 0.9996458457997996, 0.9272579673069882, 0.99379939358991],
+        2.0: [0.20537560738252625, 0.2638111792347191, 0.19567805959001472, 0.20290897367973648],
+        50.0: [0.009142866937418281, 0.010099305951597692, 0.009126203828556001,
+               0.00913869871183648],
+    }
+    for s2, row in pins.items():
+        assert infometrics._quantized_mi_bits(s2, quantizers) == row + [0.0, 0.0, 0.0]
+        assert [quantized_mutual_information(s2, q) for q in quantizers] == row + [0.0, 0.0, 0.0]
+
+
 def test_quantizer_sweep_rows_equal_single_calls():
     levels = list(range(2, 257, 2))
     for sigma_m_sq, sigma_w_sq in ((0.03, 0.03), (0.25, 0.625), (1.0, 1.0), (10.0, 40.0)):

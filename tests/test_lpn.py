@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiretaplab.coset import decode_ml, encode
-from wiretaplab.gf2 import BitMatrix, BitVector, mat_mul, mat_vec_mul
+from wiretaplab import lpn
+from wiretaplab.coset import WiretapCodeParams, code_to_text, decode_ml, encode, random_coset_code
+from wiretaplab.gf2 import BitMatrix, BitVector, invert, mat_mul, mat_vec_mul, random_full_rank
 from wiretaplab.lpn import (
     LpnCiphertext,
     LpnKey,
@@ -72,6 +73,8 @@ def test_params_validation():
         LpnParams(l=4, m=3, k=16, n=28, p=0.05)
     with pytest.raises(ValueError):
         LpnParams(l=4, m=8, k=16, n=28, p=0.5)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        LpnParams(l=4, m=8, k=0, n=28, p=0.05)
 
 
 def test_registered_code_shape():
@@ -324,11 +327,45 @@ def test_key_file_rejects_corruption():
     swapped[0] = "lpn-key v1: 4,8,16,28"
     with pytest.raises(ValueError, match="expected l,m,k,n,p, got 4 values"):
         key_from_text("\n".join(swapped))
-    # The code header must match its matrix, as in a code file.
+    # The code lines must be the registered code's.
     assert lines[3] == "28,16,8"
     bad_code = lines[:3] + ["99,87,79"] + lines[4:]
-    with pytest.raises(ValueError, match="inconsistent with header"):
+    with pytest.raises(ValueError, match="not the registered code for n=28, m=8"):
         key_from_text("\n".join(bad_code))
+    bad_s = lines[:1] + [BitMatrix.zeros(15, 28).to_hex()] + lines[2:]
+    with pytest.raises(ValueError, match="S shape inconsistent with params"):
+        key_from_text("\n".join(bad_s))
+    bad_mixing = lines[:2] + [BitMatrix.identity(7).to_hex()] + lines[3:]
+    with pytest.raises(ValueError, match="M shape inconsistent with params"):
+        key_from_text("\n".join(bad_mixing))
+
+
+def _key_text_with_code(label, params, code):
+    """A key file for params whose code lines are code's, as a hand-made or
+    older key file could hold them."""
+    rng = _rng(label)
+    s_matrix = BitMatrix.from_row_words([rng.next_bits(params.n) for _ in range(params.k)], params.n)
+    mixing = random_full_rank(rng, params.m, params.m)
+    return key_to_text(LpnKey(s_matrix, mixing, invert(mixing), code), params)
+
+
+def test_key_file_past_the_family_budget_is_refused_at_load():
+    # keygen refuses m = 12; a key file for it would load and fail on every
+    # decrypt, since neither a leader table nor a fine-code walk is in budget.
+    params = LpnParams(l=4, m=12, k=16, n=42, p=0.05)
+    text = _key_text_with_code("m12", params, lpn._hamming_block_code(6))
+    with pytest.raises(ValueError, match="m=12 is past the registered family's decoding budget"):
+        key_from_text(text)
+
+
+def test_key_file_with_a_foreign_code_of_the_same_shape_is_refused():
+    params = toy_params()
+    code = random_coset_code(_rng("foreign-code"), WiretapCodeParams(28, 16, 8, 8, 0.01))
+    assert code != registered_code(28, 8)
+    text = _key_text_with_code("foreign", params, code)
+    assert text.splitlines()[3:] == code_to_text(code).splitlines()
+    with pytest.raises(ValueError, match="code lines are not the registered code for n=28, m=8"):
+        key_from_text(text)
 
 
 def test_ciphertext_file_roundtrip():
@@ -390,3 +427,5 @@ def test_ciphertext_file_rejects_corruption():
         ciphertext_from_text("nonsense\n28:00000000\n16:0000\n")
     with pytest.raises(ValueError, match="bad header '28'"):
         ciphertext_from_text("lpn-ct v1: 28\n28:00000000\n16:0000\n")
+    with pytest.raises(ValueError, match="ciphertext lengths inconsistent with header"):
+        ciphertext_from_text("lpn-ct v1: 28,16\n16:0000\n16:0000\n")

@@ -46,6 +46,11 @@ def test_short_seed_rejected():
         prng_stream(b"too-short")
 
 
+def test_negative_bit_count_rejected():
+    with pytest.raises(ValueError, match="negative bit count"):
+        prng_stream(SEED, "neg").next_bits(-1)
+
+
 def test_next_bits_zero_consumes_nothing():
     a = prng_stream(SEED, "z")
     b = prng_stream(SEED, "z")
