@@ -1,6 +1,8 @@
 import hashlib
 import math
+import os
 import re
+import threading
 import tracemalloc
 from dataclasses import replace
 from statistics import NormalDist
@@ -555,6 +557,22 @@ def test_exact_equivocation_serves_length_past_word_packing():
         assert report.to_csv_row() == exact_equivocation(code, Bsc(p)).to_csv_row()
 
 
+def test_exact_working_memory_at_twenty_rows():
+    # W = 8 MiB, one float64 over uncoded_code(20)'s 2^20 syndromes.  The
+    # column loop holds W and its index and flip buffers; the relabel gathers
+    # into the spent index buffer, where a fresh gather peaked at 4.0 W.
+    code = uncoded_code(20)
+    code._elimination, code._columns  # cached with the code, not the call's
+    bound = 3.5 * (8 << 20)
+    tracemalloc.start()
+    try:
+        exact_equivocation(code, Bsc(0.2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
+
+
 def _xor_fold(w, masks, a, b):
     """w[u] <- a * w[u] + b * w[u ^ m] for each nonzero mask m in turn."""
     indices = np.arange(len(w), dtype=np.int64)
@@ -731,9 +749,10 @@ def _assert_posterior_equals_loop_reference(code, p, rows, budgets):
 )
 def test_batched_posterior_equals_loop_reference(code, p, data):
     # 0.0 and 1e-300 give posteriors with zero entries (1e-300 by underflow),
-    # which take the per-row fallback.  Budgets of 1, 3 and 37 words split a
-    # sample into runs of messages, ragged where 37 >> k_coarse does not
-    # divide 2^k_msg, and a run is one message once 2^k_coarse passes them.
+    # which take the per-row fallback.  Budgets of 1, 3 and 37 words (runs of
+    # up to 2, 6 and 74) split a sample into runs of messages, ragged where
+    # 74 >> k_coarse does not divide 2^k_msg, and a run is one message once
+    # 2^k_coarse passes them.
     rows = data.draw(st.lists(st.integers(0, (1 << code.n) - 1), min_size=1, max_size=300))
     _assert_posterior_equals_loop_reference(
         code, p, rows, (coset._POSTERIOR_BATCH_WORDS, 1, 3, 37)
@@ -764,6 +783,120 @@ def test_posterior_working_memory_bounded_by_budget():
     finally:
         tracemalloc.stop()
     assert peak < bound, (peak, bound)
+
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="pins posterior shares to CPUs"
+)
+
+
+def _share_cpu_lists():
+    """CPU lists of 1, 2 and 3 posterior shares, from this thread's own CPUs;
+    a CPU may take two shares."""
+    allowed = sorted(os.sched_getaffinity(0))
+    first, last = allowed[0], allowed[-1]
+    return [first], [first, last], [first, first, last]
+
+
+def _threaded(cpus):
+    """Patches the posterior to split any call of 2+ samples over cpus."""
+    return mock.patch.multiple(
+        coset, _POSTERIOR_THREAD_WORDS=1, _posterior_cpus=mock.Mock(return_value=cpus)
+    )
+
+
+@needs_affinity
+@settings(max_examples=60, deadline=None)
+@given(
+    code=_small_codes(),
+    p=st.sampled_from([0.0, 1e-300, 0.2]),
+    samples=st.integers(1, 40),
+    workers=st.sampled_from([1, 3]),
+)
+@example(code=_random_code("share-k16", 24, 16, 8), p=0.2, samples=2, workers=1)
+@example(code=_hamming_coset_code(), p=1e-300, samples=1, workers=1)
+def test_monte_carlo_rows_independent_of_share_count(code, p, samples, workers):
+    # 1, 2 and 3 shares, or as many as there are samples, split the samples
+    # between them and write the serial path's row.
+    real_share = coset._posterior_share
+    rows = set()
+    for cpus in _share_cpu_lists():
+        share_sizes = []
+
+        def share(code, z, *rest):
+            share_sizes.append(len(z))
+            real_share(code, z, *rest)
+
+        with _threaded(cpus), mock.patch.object(coset, "_posterior_share", share):
+            report = monte_carlo_equivocation(code, Bsc(p), samples, _rng("share-mc"), workers)
+        rows.add(report.to_csv_row())
+        assert len(share_sizes) == min(len(cpus), samples)
+        assert sum(share_sizes) == samples
+    assert len(rows) == 1
+
+
+def _k16_posterior_inputs(samples):
+    code = _random_code("share-k16", 24, 16, 8)
+    stream = _rng("share-k16-rows")
+    z = np.array([stream.next_bits(24) for _ in range(samples)], dtype=np.uint64)
+    d = np.arange(25, dtype=float)
+    return code, z, P_W_PIN**d * (1.0 - P_W_PIN) ** (24 - d)
+
+
+@needs_affinity
+def test_threaded_posterior_keeps_caller_threads_and_affinity():
+    # Each helper pins itself (pid 0 is the calling thread), never the
+    # caller, and every helper is joined before the call returns.
+    code, z, table = _k16_posterior_inputs(9)
+    serial = _posterior_entropy_bits(code, z, table)  # 9 x 2^16 words: below the threshold
+    cpus = _share_cpu_lists()[-1]
+    pins = []
+    real_pin = os.sched_setaffinity
+
+    def pin(pid, mask):
+        pins.append((pid, tuple(mask), threading.current_thread() is threading.main_thread()))
+        real_pin(pid, mask)
+
+    before = threading.active_count(), os.sched_getaffinity(0)
+    with _threaded(cpus), mock.patch.object(os, "sched_setaffinity", pin):
+        rows = _posterior_entropy_bits(code, z, table)
+    assert (threading.active_count(), os.sched_getaffinity(0)) == before
+    assert sorted(pins) == [(0, (cpu,), False) for cpu in cpus]
+    assert rows.tolist() == serial.tolist()
+
+
+@needs_affinity
+def test_share_exception_reaches_caller_after_every_helper():
+    code, z, table = _k16_posterior_inputs(9)
+    failure = ArithmeticError("share 1 failed")
+    real_share = coset._posterior_share
+    done = []
+
+    def share(code, z_share, *rest):
+        if z_share[0] == z[3]:  # the second of three shares of 9 samples
+            raise failure
+        real_share(code, z_share, *rest)
+        done.append(len(z_share))
+
+    before = threading.active_count()
+    with _threaded(_share_cpu_lists()[-1]), mock.patch.object(coset, "_posterior_share", share):
+        with pytest.raises(ArithmeticError) as caught:
+            _posterior_entropy_bits(code, z, table)
+    assert caught.value is failure
+    assert done == [3, 3]
+    assert threading.active_count() == before
+
+
+def test_monte_carlo_without_affinity_runs_serially(monkeypatch):
+    # 64 samples of 2^16 words reach the thread threshold; without
+    # sched_getaffinity (macOS) the call runs serially, to the same row.
+    code = _random_code("share-k16", 24, 16, 8)
+    expected = monte_carlo_equivocation(code, Bsc(P_W_PIN), 64, _rng("no-affinity")).to_csv_row()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(coset, "threading", None)  # any helper would fail to start
+    assert coset._posterior_cpus() == []
+    report = monte_carlo_equivocation(code, Bsc(P_W_PIN), 64, _rng("no-affinity"))
+    assert report.to_csv_row() == expected
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
