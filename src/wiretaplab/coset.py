@@ -21,15 +21,16 @@ direct enumeration of the fine code: the likelihood of each fine-code word is
 read from a table of the n + 1 BSC weights p^d (1-p)^(n-d), built once per
 call, into a working buffer of a fixed word budget, refilled in place by each
 batch of samples, or, past the budget, by each run of whole messages of one
-sample.  A large call cuts its samples into one share per CPU the calling
-thread may use, each run by a helper thread that pins itself to its CPU
-(where the kernel does not balance load, a new thread stays on its creator's
-CPU) through a buffer of its own: the budget is per share, so a call's memory
-grows with its share count, but no row depends on the split, so the output
-depends on `workers` and never on the CPU count.  Its samples are
-drawn in blocks: one stream call per block, its message, coset and noise bits
-sliced in numpy, with prng's Bernoulli threshold applied to every noise chunk
-at once; each sample gets the bits a draw at a time would give it.
+sample.  A large call shares its samples out between helper threads, one per
+CPU the calling thread may use and at most two, each of which pins itself to
+its CPU (where the kernel does not balance load, a new thread stays on its
+creator's CPU) and claims block after block of samples through a buffer of
+its own: the budget is per share, so a call's memory grows with its share
+count, but no row depends on which share computes it, so the output depends
+on `workers` and never on the CPU count.  Its samples are drawn in blocks:
+one stream call per block, its message, coset and noise bits sliced in numpy,
+with prng's Bernoulli threshold applied to every noise chunk at once; each
+sample gets the bits a draw at a time would give it.
 
 Bob's ML decoder is syndrome decoding: a table of minimal-weight coset
 leaders of the fine code, indexed by the zero-block syndrome and built once
@@ -44,6 +45,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -85,29 +87,42 @@ MAX_ENUM_K_FINE = 20
 MAX_LEADER_PATTERNS = 1 << 16
 
 # Word budget of the Monte Carlo posterior, per share of a call (see
-# _POSTERIOR_THREAD_WORDS).  A share streams the fine code through one buffer
-# of 2 * 2^15 words (8 bytes each, 0.5 MiB) that holds a run's distances and
-# then, gathered over them in place, its likelihoods: 2^16 >> k_fine samples
-# at a time, or, once the fine code alone passes it, one sample in runs of
-# 2^16 >> k_coarse whole messages (one message, 2^(k_coarse + 3) bytes, once
-# 2^k_coarse passes it).  It is allocated once per share, so a call's memory
-# grows with its share count.  Each run pays a few numpy calls' fixed cost,
-# and between threaded shares each of those calls hands the GIL over: on a
-# 2-CPU VM, 600-sample (24, 16, 8) calls in two shares took 106 ms at one
-# 2^16-word run a sample and 125 ms at two 2^15-word runs (153 ms serially
-# either way).  Serially, 4 runs a sample had made 5.8k samples/s against
-# 6.2k at 2, and a fresh uint8-indexed gather per sample 3.9k.
-_POSTERIOR_BATCH_WORDS = 1 << 15
+# _POSTERIOR_SHARES): one buffer of 2^16 words (8 bytes each, 0.5 MiB) that
+# holds a run's distances and then, gathered over them in place, its
+# likelihoods: 2^16 >> k_fine samples at a time, or, once the fine code alone
+# passes it, one sample in runs of 2^16 >> k_coarse whole messages (one
+# message, 2^(k_coarse + 3) bytes, once 2^k_coarse passes it).  It is
+# allocated once per share, so a call's memory grows with its share count.
+# Each run pays a few numpy calls' fixed cost, and between threaded shares
+# each of those calls hands the GIL over: on a 2-CPU VM, 600-sample
+# (24, 16, 8) calls in two shares took 106 ms at 2^16-word runs and 125 ms at
+# 2^15-word runs (153 ms serially either way).
+_POSTERIOR_BATCH_WORDS = 1 << 16
 
-# Work of a posterior call, samples x 2^k_fine words, from which its samples
-# are cut into one share per allowed CPU, each run by a helper thread pinned
-# to that CPU: a share's numpy calls release the GIL and allocate nothing.
-# Below it a thread's start and join cost about what they save.  In direct
-# calls on a 2-CPU VM, serial against two shares: 400 samples of (24, 8, 4)
+# Words of per-message totals a share gathers before it turns them into
+# entropies: a block of 2^12 >> k_msg samples (16 of a (24, 16, 8) code, in
+# 32 KiB), or one batch of samples where that is more.  The entropy's few
+# numpy calls then run once a block, not once a sample: in paired 600-sample
+# (24, 16, 8) calls on a 2-CPU VM, two shares took 74 ms at 16 samples a block
+# and 84 ms at one.  A block is also the unit a threaded share claims.
+_POSTERIOR_BLOCK_WORDS = 1 << 12
+
+# Work of a posterior call, samples x 2^k_fine words, from which its blocks
+# are shared out between helper threads, one per allowed CPU and each pinned
+# to it: a share's numpy calls release the GIL and allocate nothing.  Below
+# it a thread's start and join cost about what they save.  In direct calls on
+# a 2-CPU VM, serial against two shares: 400 samples of (24, 8, 4)
 # (2^16.6 words) took 0.72 and 1.7 ms, 16 of (24, 16, 8) (2^20) 4.2 and
 # 5.0 ms, 10,000 of (24, 8, 4) (2^21.3) 16.4 and 12.2 ms, 64 of (24, 16, 8)
 # (2^22) 16.4 and 12.1 ms, and 600 of (24, 16, 8) 147 and 89 ms.
 _POSTERIOR_THREAD_WORDS = 1 << 22
+
+# Most shares of one posterior call, however many CPUs it may use, so a call
+# holds at most this many buffers and its work is at least twice the
+# break-even measured above.  Only two shares have been measured, and since
+# every numpy call of a share hands the GIL over, two ran only 1.45-1.65x as
+# fast as one.
+_POSTERIOR_SHARES = 2
 
 # Bit budget of one Monte Carlo stream draw: a block of 2^16 // (k_fine + 32n)
 # samples (84 of a (24, 8, 4) code) is 8 KiB packed and 64 KiB unpacked however
@@ -474,41 +489,50 @@ def _posterior_entropy_bits(code: CosetCode, z: np.ndarray, table: np.ndarray) -
     """H(S | Z = z) in bits for each output in the uint64 array z.
 
     Enumerates the fine code; table[d] is the BSC likelihood of a word at
-    Hamming distance d from z.  From _POSTERIOR_THREAD_WORDS of work on, z is
-    cut at sample boundaries into one contiguous share per CPU the calling
-    thread may use (never more shares than samples), each run into its slice
-    of the output by a helper thread pinned to its CPU, while this thread
-    waits; below it, or with one CPU, the call runs here.  A row's floats do
-    not depend on where the shares fall, so the output never depends on the
-    CPU count.  An exception raised in a share is re-raised here once every
+    Hamming distance d from z.  From _POSTERIOR_THREAD_WORDS of work on, z's
+    blocks of samples (see _POSTERIOR_BLOCK_WORDS) are shared out between
+    helper threads, one per CPU the calling thread may use, at most
+    _POSTERIOR_SHARES and never more than blocks, while this thread waits:
+    each helper pins itself to its CPU, then claims block after block until
+    none is left and writes each into its slice of the output, so a helper on
+    a faster or less busy CPU takes more of them.  Below it, or with one CPU,
+    the call runs here.  A row's floats do not depend on which share
+    computes it, so the output depends neither on the CPU count nor on the
+    timing.  An exception raised in a share is re-raised here once every
     helper has been joined.
     """
     out = np.empty(len(z), dtype=float)
+    buffers = _posterior_buffers(code)
+    block = len(buffers[1])
+    blocks = deque(range(0, len(z), block))
     work = len(z) << code.k_fine
     cpus = _posterior_cpus() if work >= _POSTERIOR_THREAD_WORDS else []
-    shares = min(len(cpus), len(z))
+    shares = min(len(cpus), len(blocks), _POSTERIOR_SHARES)
     if shares < 2:
-        _posterior_share(code, z, table, out, _posterior_buffers(code))
+        _posterior_share(code, z, table, out, buffers)
         return out
-    cuts = [len(z) * i // shares for i in range(shares + 1)]
-    # Every share's buffer comes from this thread before any helper starts:
+    # Every share's buffers come from this thread before any helper starts:
     # allocated by the helpers instead, mc-k16's peak RSS read 0.3 MB higher.
-    jobs = [
-        (z[lo:hi], out[lo:hi], _posterior_buffers(code)) for lo, hi in zip(cuts, cuts[1:])
-    ]
+    buffers = [buffers] + [_posterior_buffers(code) for _ in range(shares - 1)]
     errors = []
 
-    def run(cpu, z_share, out_share, buffers):
+    def run(cpu, buffers):
         # A new thread starts on its creator's CPU, and a cpuset with
         # sched_load_balance = 0 never moves it, so an unpinned helper can
         # share a CPU with the others for the whole call.  pid 0 is this thread.
         try:
             os.sched_setaffinity(0, {cpu})
-            _posterior_share(code, z_share, table, out_share, buffers)
+            while True:
+                try:
+                    start = blocks.popleft()  # each block goes to one helper
+                except IndexError:
+                    return
+                stop = start + block
+                _posterior_share(code, z[start:stop], table, out[start:stop], buffers)
         except BaseException as exc:  # re-raised by the caller
             errors.append(exc)
 
-    helpers = [threading.Thread(target=run, args=(cpu, *job)) for cpu, job in zip(cpus, jobs)]
+    helpers = [threading.Thread(target=run, args=job) for job in zip(cpus, buffers)]
     try:
         for helper in helpers:
             helper.start()
@@ -522,14 +546,14 @@ def _posterior_entropy_bits(code: CosetCode, z: np.ndarray, table: np.ndarray) -
 
 
 def _posterior_buffers(code: CosetCode) -> tuple:
-    """One share's working memory: a buffer of 2 * _POSTERIOR_BATCH_WORDS
+    """One share's working memory: a buffer of about _POSTERIOR_BATCH_WORDS
     words for a run's distances and then its likelihoods, and the
-    per-message totals of a batch of samples."""
-    budget = 2 * _POSTERIOR_BATCH_WORDS
-    rows = max(1, budget >> code.k_fine)
-    span = min(1 << code.k_msg, max(1, budget >> code.k_coarse))
+    per-message totals of a block of samples."""
+    rows = max(1, _POSTERIOR_BATCH_WORDS >> code.k_fine)
+    span = min(1 << code.k_msg, max(1, _POSTERIOR_BATCH_WORDS >> code.k_coarse))
     buffer = np.empty((rows * span) << code.k_coarse, dtype=np.uint64)
-    per_message = np.empty((rows, 1 << code.k_msg), dtype=float)
+    block = max(rows, _POSTERIOR_BLOCK_WORDS >> code.k_msg)
+    per_message = np.empty((block, 1 << code.k_msg), dtype=float)
     return buffer, per_message
 
 
@@ -540,41 +564,46 @@ def _posterior_share(
 
     The words stream through the buffer, filled in place: a batch of samples
     over the whole fine code, or, once the fine code alone passes the
-    budget, one sample over a run of whole messages.  Each per-message total
-    is the same sum over the same 2^k_coarse contiguous likelihoods however
-    the runs fall.  A row whose posterior has a zero entry (p = 0, or an
-    underflow) skips those entries, as 0 log 0 = 0.
+    budget, one sample over a run of whole messages; the entropies are taken
+    a block of samples at a time.  Each per-message total is the same sum
+    over the same 2^k_coarse contiguous likelihoods however the runs fall.
+    A block with a zero entry in any row's posterior (p = 0, or an underflow)
+    takes each row's entropy alone, skipping those entries, as 0 log 0 = 0.
     """
     buffer, per_message = buffers
     words = code._fine_words
     cosets, messages = 1 << code.k_coarse, 1 << code.k_msg
-    rows = len(per_message)
+    rows = max(1, len(buffer) >> code.k_fine)
     span = len(buffer) // (rows * cosets)
-    for start in range(0, len(z), rows):
-        batch = z[start : start + rows, None]
-        count = len(batch)
-        for lo in range(0, messages, span):
-            hi = min(lo + span, messages)
-            size = count * (hi - lo) * cosets
-            run = buffer[:size]
-            np.bitwise_xor(batch, words[lo * cosets : hi * cosets], out=run.reshape(count, -1))
-            # The distances overwrite the words as int64, the intp that take
-            # reads without a cast (it casts a uint8 index on every call); they
-            # lie in [0, n], so "clip" never clips.  The likelihoods then
-            # overwrite the distances: each is written where its own index was
-            # read, and "clip" takes no copy of an index array that out shares.
-            index = run.view(np.int64)
-            np.bitwise_count(run, out=index)
-            likelihood = np.take(table, index, out=run.view(float), mode="clip")
-            likelihood.reshape(count, hi - lo, cosets).sum(
-                axis=2, out=per_message[:count, lo:hi]
-            )
-        posterior = per_message[:count]
+    for start in range(0, len(z), len(per_message)):
+        block = z[start : start + len(per_message)]
+        for first in range(0, len(block), rows):
+            batch = block[first : first + rows, None]
+            count = len(batch)
+            for lo in range(0, messages, span):
+                hi = min(lo + span, messages)
+                size = count * (hi - lo) * cosets
+                run = buffer[:size]
+                fine = words[lo * cosets : hi * cosets]
+                np.bitwise_xor(batch, fine, out=run.reshape(count, -1))
+                # The distances overwrite the words as int64, the intp that
+                # take reads without a cast (it casts a uint8 index on every
+                # call); they lie in [0, n], so "clip" never clips.  The
+                # likelihoods then overwrite the distances: each is written
+                # where its own index was read, and "clip" takes no copy of
+                # an index array that out shares.
+                index = run.view(np.int64)
+                np.bitwise_count(run, out=index)
+                likelihood = np.take(table, index, out=run.view(float), mode="clip")
+                likelihood.reshape(count, hi - lo, cosets).sum(
+                    axis=2, out=per_message[first : first + count, lo:hi]
+                )
+        posterior = per_message[: len(block)]
         posterior /= posterior.sum(axis=1)[:, None]
         if (posterior > 0.0).all():
-            out[start : start + count] = -(posterior * np.log2(posterior)).sum(axis=1)
+            out[start : start + len(block)] = -(posterior * np.log2(posterior)).sum(axis=1)
         else:
-            out[start : start + count] = [_entropy_bits(row) for row in posterior]
+            out[start : start + len(block)] = [_entropy_bits(row) for row in posterior]
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -629,11 +658,11 @@ def monte_carlo_equivocation(
     many substreams of rng (worker w draws from rng.substream(f"worker-{w}")):
     a reproducible sample layout, so a fixed (seed, workers) pair reproduces
     exactly.  Every worker runs in this process; a large call evaluates its
-    posteriors in one helper thread per CPU the calling thread may use, each
-    pinned to its CPU (where the kernel does not balance load, a new thread
-    stays on its creator's CPU) and each with its own working buffers, so
-    memory grows with the CPU count while the output depends on `workers`
-    but never on the CPU count.
+    posteriors in one helper thread per CPU the calling thread may use, at
+    most two, each pinned to its CPU (where the kernel does not balance load,
+    a new thread stays on its creator's CPU) and each with its own working
+    buffers, so memory grows with the share count while the output depends
+    on `workers` but never on the CPU count.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -749,10 +749,9 @@ def _assert_posterior_equals_loop_reference(code, p, rows, budgets):
 )
 def test_batched_posterior_equals_loop_reference(code, p, data):
     # 0.0 and 1e-300 give posteriors with zero entries (1e-300 by underflow),
-    # which take the per-row fallback.  Budgets of 1, 3 and 37 words (runs of
-    # up to 2, 6 and 74) split a sample into runs of messages, ragged where
-    # 74 >> k_coarse does not divide 2^k_msg, and a run is one message once
-    # 2^k_coarse passes them.
+    # which take the per-row fallback.  Budgets of 1, 3 and 37 words split a
+    # sample into runs of messages, ragged where 37 >> k_coarse does not
+    # divide 2^k_msg, and a run is one message once 2^k_coarse passes them.
     rows = data.draw(st.lists(st.integers(0, (1 << code.n) - 1), min_size=1, max_size=300))
     _assert_posterior_equals_loop_reference(
         code, p, rows, (coset._POSTERIOR_BATCH_WORDS, 1, 3, 37)
@@ -761,10 +760,10 @@ def test_batched_posterior_equals_loop_reference(code, p, data):
 
 @pytest.mark.parametrize("p", [0.0, 1e-300, 0.05, 0.3])
 def test_posterior_runs_of_one_message_at_default_budget(p):
-    # 2^k_coarse = 2^16 words per message passes the default budget, so each
+    # 2^k_coarse = 2^16 words per message fills the default budget, so each
     # sample is walked one message at a time.
     code = _random_code("run-k16", 20, 18, 16)
-    assert coset._POSTERIOR_BATCH_WORDS >> code.k_coarse == 0
+    assert len(coset._posterior_buffers(code)[0]) == 1 << code.k_coarse
     stream = _rng("run-k16-rows")
     rows = [0, (1 << 20) - 1, int(code._fine_words[5])] + [stream.next_bits(20) for _ in range(5)]
     _assert_posterior_equals_loop_reference(code, p, rows, (coset._POSTERIOR_BATCH_WORDS,))
@@ -775,7 +774,7 @@ def test_posterior_working_memory_bounded_by_budget():
     # posterior that held a sample's likelihoods at once would trace >= 8 MB.
     code = _random_code("mem-k20", 24, 20, 10)
     code._fine_words  # the cached 8 MB table is the code's, not the call's
-    bound = 4 * (2 * 8 * coset._POSTERIOR_BATCH_WORDS)  # two 8-byte buffers, 4x slack
+    bound = 4 * (8 * coset._POSTERIOR_BATCH_WORDS)  # one 8-byte buffer, 4x slack
     tracemalloc.start()
     try:
         monte_carlo_equivocation(code, Bsc(0.2), 8, _rng("mem-k20-mc"))
@@ -798,11 +797,56 @@ def _share_cpu_lists():
     return [first], [first, last], [first, first, last]
 
 
-def _threaded(cpus):
-    """Patches the posterior to split any call of 2+ samples over cpus."""
+def _threaded(cpus, **sizes):
+    """Patches the posterior to share any call of 2+ blocks out over all of
+    cpus, in blocks of one batch of samples."""
     return mock.patch.multiple(
-        coset, _POSTERIOR_THREAD_WORDS=1, _posterior_cpus=mock.Mock(return_value=cpus)
+        coset,
+        _POSTERIOR_THREAD_WORDS=1,
+        _POSTERIOR_SHARES=len(cpus),
+        _POSTERIOR_BLOCK_WORDS=0,
+        _posterior_cpus=mock.Mock(return_value=cpus),
+        **sizes,
     )
+
+
+def _recording_pins():
+    """Patches os.sched_setaffinity to record (pid, cpus, in the main thread)
+    for each call before it pins."""
+    pins = []
+    real_pin = os.sched_setaffinity
+
+    def pin(pid, mask):
+        pins.append((pid, tuple(mask), threading.current_thread() is threading.main_thread()))
+        real_pin(pid, mask)
+
+    return pins, mock.patch.object(os, "sched_setaffinity", pin)
+
+
+@needs_affinity
+def test_posterior_working_memory_bounded_on_eight_cpus():
+    # Eight allowed CPUs still give the 8-sample call above at most
+    # _POSTERIOR_SHARES shares, so its buffers stay within the same bound.
+    code = _random_code("mem-k20", 24, 20, 10)
+    code._fine_words
+    bound = 4 * (8 * coset._POSTERIOR_BATCH_WORDS)
+    real_share = coset._posterior_share
+    share_sizes = []
+
+    def share(code, z, *rest):
+        share_sizes.append(len(z))
+        real_share(code, z, *rest)
+
+    cpus = mock.Mock(return_value=_share_cpu_lists()[1] * 4)
+    with mock.patch.multiple(coset, _posterior_cpus=cpus, _posterior_share=share):
+        tracemalloc.start()
+        try:
+            monte_carlo_equivocation(code, Bsc(0.2), 8, _rng("mem-k20-mc"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert share_sizes == [4, 4]
+    assert peak < bound, (peak, bound)
 
 
 @needs_affinity
@@ -816,22 +860,16 @@ def _threaded(cpus):
 @example(code=_random_code("share-k16", 24, 16, 8), p=0.2, samples=2, workers=1)
 @example(code=_hamming_coset_code(), p=1e-300, samples=1, workers=1)
 def test_monte_carlo_rows_independent_of_share_count(code, p, samples, workers):
-    # 1, 2 and 3 shares, or as many as there are samples, split the samples
-    # between them and write the serial path's row.
-    real_share = coset._posterior_share
+    # 1, 2 and 3 shares, or as many as there are samples, claim the samples a
+    # block of one at a time and write the serial path's row.
     rows = set()
     for cpus in _share_cpu_lists():
-        share_sizes = []
-
-        def share(code, z, *rest):
-            share_sizes.append(len(z))
-            real_share(code, z, *rest)
-
-        with _threaded(cpus), mock.patch.object(coset, "_posterior_share", share):
+        pins, recording = _recording_pins()
+        with _threaded(cpus, _POSTERIOR_BATCH_WORDS=1), recording:
             report = monte_carlo_equivocation(code, Bsc(p), samples, _rng("share-mc"), workers)
         rows.add(report.to_csv_row())
-        assert len(share_sizes) == min(len(cpus), samples)
-        assert sum(share_sizes) == samples
+        shares = min(len(cpus), samples)
+        assert len(pins) == (shares if shares > 1 else 0)
     assert len(rows) == 1
 
 
@@ -850,15 +888,9 @@ def test_threaded_posterior_keeps_caller_threads_and_affinity():
     code, z, table = _k16_posterior_inputs(9)
     serial = _posterior_entropy_bits(code, z, table)  # 9 x 2^16 words: below the threshold
     cpus = _share_cpu_lists()[-1]
-    pins = []
-    real_pin = os.sched_setaffinity
-
-    def pin(pid, mask):
-        pins.append((pid, tuple(mask), threading.current_thread() is threading.main_thread()))
-        real_pin(pid, mask)
-
+    pins, recording = _recording_pins()
     before = threading.active_count(), os.sched_getaffinity(0)
-    with _threaded(cpus), mock.patch.object(os, "sched_setaffinity", pin):
+    with _threaded(cpus), recording:
         rows = _posterior_entropy_bits(code, z, table)
     assert (threading.active_count(), os.sched_getaffinity(0)) == before
     assert sorted(pins) == [(0, (cpu,), False) for cpu in cpus]
@@ -872,18 +904,18 @@ def test_share_exception_reaches_caller_after_every_helper():
     real_share = coset._posterior_share
     done = []
 
-    def share(code, z_share, *rest):
-        if z_share[0] == z[3]:  # the second of three shares of 9 samples
+    def share(code, z_block, *rest):
+        if z_block[0] == z[3]:  # the fourth of nine one-sample blocks
             raise failure
-        real_share(code, z_share, *rest)
-        done.append(len(z_share))
+        real_share(code, z_block, *rest)
+        done.append(len(z_block))
 
     before = threading.active_count()
     with _threaded(_share_cpu_lists()[-1]), mock.patch.object(coset, "_posterior_share", share):
         with pytest.raises(ArithmeticError) as caught:
             _posterior_entropy_bits(code, z, table)
     assert caught.value is failure
-    assert done == [3, 3]
+    assert done == [1] * 8  # the other helpers claimed every other block
     assert threading.active_count() == before
 
 
