@@ -21,16 +21,12 @@ direct enumeration of the fine code: the likelihood of each fine-code word is
 read from a table of the n + 1 BSC weights p^d (1-p)^(n-d), built once per
 call, into a working buffer of a fixed word budget, refilled in place by each
 batch of samples, or, past the budget, by each run of whole messages of one
-sample.  A large call shares its samples out between helper threads, one per
-CPU the calling thread may use and at most two, each of which pins itself to
-its CPU (where the kernel does not balance load, a new thread stays on its
-creator's CPU) and claims block after block of samples through a buffer of
-its own: the budget is per share, so a call's memory grows with its share
-count, but no row depends on which share computes it, so the output depends
-on `workers` and never on the CPU count.  Its samples are drawn in blocks:
-one stream call per block, its message, coset and noise bits sliced in numpy,
-with prng's Bernoulli threshold applied to every noise chunk at once; each
-sample gets the bits a draw at a time would give it.
+sample; a large call shares its blocks of samples out between at most two
+pinned helper threads, and no row depends on which one computes it.  Its
+samples are drawn in blocks: one stream call per block, its message, coset
+and noise bits sliced in numpy, with prng's Bernoulli threshold applied to
+every noise chunk at once; each sample gets the bits a draw at a time would
+give it.
 
 Bob's ML decoder is syndrome decoding: a table of minimal-weight coset
 leaders of the fine code, indexed by the zero-block syndrome and built once
@@ -86,17 +82,16 @@ MAX_ENUM_K_FINE = 20
 # weight to fill the syndrome table; past it, decoding enumerates the fine code.
 MAX_LEADER_PATTERNS = 1 << 16
 
-# Word budget of the Monte Carlo posterior, per share of a call (see
-# _POSTERIOR_SHARES): one buffer of 2^16 words (8 bytes each, 0.5 MiB) that
-# holds a run's distances and then, gathered over them in place, its
-# likelihoods: 2^16 >> k_fine samples at a time, or, once the fine code alone
-# passes it, one sample in runs of 2^16 >> k_coarse whole messages (one
-# message, 2^(k_coarse + 3) bytes, once 2^k_coarse passes it).  It is
-# allocated once per share, so a call's memory grows with its share count.
-# Each run pays a few numpy calls' fixed cost, and between threaded shares
-# each of those calls hands the GIL over: on a 2-CPU VM, 600-sample
-# (24, 16, 8) calls in two shares took 106 ms at 2^16-word runs and 125 ms at
-# 2^15-word runs (153 ms serially either way).
+# Word budget of a Monte Carlo posterior run: 2^16 words (8 bytes each,
+# 0.5 MiB) that hold a run's distances and then, gathered over them in place,
+# its likelihoods: 2^16 >> k_fine samples at a time, or, once the fine code
+# alone passes it, one sample in runs of 2^16 >> k_coarse whole messages (one
+# message, 2^(k_coarse + 3) bytes, once 2^k_coarse passes it).  Each share of
+# a call (see _POSTERIOR_SHARES) has a run buffer of its own, so a call's
+# memory grows with its share count.  Each run pays a few numpy calls' fixed
+# cost, and between threaded shares each of those calls hands the GIL over: on
+# a 2-CPU VM, 600-sample (24, 16, 8) calls in two shares took 106 ms at
+# 2^16-word runs and 125 ms at 2^15-word runs (153 ms serially either way).
 _POSTERIOR_BATCH_WORDS = 1 << 16
 
 # Words of per-message totals a share gathers before it turns them into
@@ -104,12 +99,12 @@ _POSTERIOR_BATCH_WORDS = 1 << 16
 # 32 KiB), or one batch of samples where that is more.  The entropy's few
 # numpy calls then run once a block, not once a sample: in paired 600-sample
 # (24, 16, 8) calls on a 2-CPU VM, two shares took 74 ms at 16 samples a block
-# and 84 ms at one.  A block is also the unit a threaded share claims.
+# and 84 ms at one.  A block is also the unit every share claims.
 _POSTERIOR_BLOCK_WORDS = 1 << 12
 
 # Work of a posterior call, samples x 2^k_fine words, from which its blocks
 # are shared out between helper threads, one per allowed CPU and each pinned
-# to it: a share's numpy calls release the GIL and allocate nothing.  Below
+# to it: a block's numpy calls release the GIL and allocate nothing.  Below
 # it a thread's start and join cost about what they save.  In direct calls on
 # a 2-CPU VM, serial against two shares: 400 samples of (24, 8, 4)
 # (2^16.6 words) took 0.72 and 1.7 ms, 16 of (24, 16, 8) (2^20) 4.2 and
@@ -118,7 +113,7 @@ _POSTERIOR_BLOCK_WORDS = 1 << 12
 _POSTERIOR_THREAD_WORDS = 1 << 22
 
 # Most shares of one posterior call, however many CPUs it may use, so a call
-# holds at most this many buffers and its work is at least twice the
+# holds at most this many run buffers and its work is at least twice the
 # break-even measured above.  Only two shares have been measured, and since
 # every numpy call of a share hands the GIL over, two ran only 1.45-1.65x as
 # fast as one.
@@ -489,50 +484,56 @@ def _posterior_entropy_bits(code: CosetCode, z: np.ndarray, table: np.ndarray) -
     """H(S | Z = z) in bits for each output in the uint64 array z.
 
     Enumerates the fine code; table[d] is the BSC likelihood of a word at
-    Hamming distance d from z.  From _POSTERIOR_THREAD_WORDS of work on, z's
-    blocks of samples (see _POSTERIOR_BLOCK_WORDS) are shared out between
-    helper threads, one per CPU the calling thread may use, at most
-    _POSTERIOR_SHARES and never more than blocks, while this thread waits:
-    each helper pins itself to its CPU, then claims block after block until
-    none is left and writes each into its slice of the output, so a helper on
-    a faster or less busy CPU takes more of them.  Below it, or with one CPU,
-    the call runs here.  A row's floats do not depend on which share
-    computes it, so the output depends neither on the CPU count nor on the
-    timing.  An exception raised in a share is re-raised here once every
-    helper has been joined.
+    Hamming distance d from z.  The layout is worked out once: samples and
+    messages per run (see _POSTERIOR_BATCH_WORDS) and samples per block (see
+    _POSTERIOR_BLOCK_WORDS).  Every share's run buffer and block of
+    per-message totals come from two allocations here, before any helper
+    starts: allocated by the helpers instead, mc-k16's peak RSS read 0.3 MB
+    higher.  Each share runs the one claim loop, which takes block after
+    block of z until none is left and writes each into its slice of the
+    output.  From _POSTERIOR_THREAD_WORDS of work on, the shares are helper
+    threads while this thread waits, one per CPU the calling thread may use,
+    at most _POSTERIOR_SHARES and never more than blocks; each helper pins
+    itself to its CPU first, so a helper on a faster or less busy CPU takes
+    more blocks.  Below it, or with one CPU, this thread is the one share.  A
+    row's floats do not depend on which share computes it, so the output
+    depends neither on the CPU count nor on the timing.  An exception raised
+    in a helper is re-raised here once every helper has been joined.
     """
     out = np.empty(len(z), dtype=float)
-    buffers = _posterior_buffers(code)
-    block = len(buffers[1])
-    blocks = deque(range(0, len(z), block))
-    work = len(z) << code.k_fine
-    cpus = _posterior_cpus() if work >= _POSTERIOR_THREAD_WORDS else []
-    shares = min(len(cpus), len(blocks), _POSTERIOR_SHARES)
-    if shares < 2:
-        _posterior_share(code, z, table, out, buffers)
+    rows = max(1, _POSTERIOR_BATCH_WORDS >> code.k_fine)
+    span = min(1 << code.k_msg, max(1, _POSTERIOR_BATCH_WORDS >> code.k_coarse))
+    block = max(rows, _POSTERIOR_BLOCK_WORDS >> code.k_msg)
+    blocks = deque(slice(start, start + block) for start in range(0, len(z), block))
+    cpus = _posterior_cpus() if len(z) << code.k_fine >= _POSTERIOR_THREAD_WORDS else []
+    shares = max(1, min(len(cpus), len(blocks), _POSTERIOR_SHARES))
+    runs = np.empty((shares, rows, span << code.k_coarse), dtype=np.uint64)
+    totals = np.empty((shares, block, 1 << code.k_msg), dtype=float)
+
+    def claim(runs, totals):
+        while True:
+            try:
+                part = blocks.popleft()  # each block goes to one share
+            except IndexError:
+                return
+            _posterior_block(code, z[part], table, out[part], runs, totals)
+
+    if shares == 1:
+        claim(runs[0], totals[0])
         return out
-    # Every share's buffers come from this thread before any helper starts:
-    # allocated by the helpers instead, mc-k16's peak RSS read 0.3 MB higher.
-    buffers = [buffers] + [_posterior_buffers(code) for _ in range(shares - 1)]
     errors = []
 
-    def run(cpu, buffers):
+    def run(cpu, runs, totals):
         # A new thread starts on its creator's CPU, and a cpuset with
         # sched_load_balance = 0 never moves it, so an unpinned helper can
         # share a CPU with the others for the whole call.  pid 0 is this thread.
         try:
             os.sched_setaffinity(0, {cpu})
-            while True:
-                try:
-                    start = blocks.popleft()  # each block goes to one helper
-                except IndexError:
-                    return
-                stop = start + block
-                _posterior_share(code, z[start:stop], table, out[start:stop], buffers)
+            claim(runs, totals)
         except BaseException as exc:  # re-raised by the caller
             errors.append(exc)
 
-    helpers = [threading.Thread(target=run, args=job) for job in zip(cpus, buffers)]
+    helpers = [threading.Thread(target=run, args=job) for job in zip(cpus, runs, totals)]
     try:
         for helper in helpers:
             helper.start()
@@ -545,65 +546,48 @@ def _posterior_entropy_bits(code: CosetCode, z: np.ndarray, table: np.ndarray) -
     return out
 
 
-def _posterior_buffers(code: CosetCode) -> tuple:
-    """One share's working memory: a buffer of about _POSTERIOR_BATCH_WORDS
-    words for a run's distances and then its likelihoods, and the
-    per-message totals of a block of samples."""
-    rows = max(1, _POSTERIOR_BATCH_WORDS >> code.k_fine)
-    span = min(1 << code.k_msg, max(1, _POSTERIOR_BATCH_WORDS >> code.k_coarse))
-    buffer = np.empty((rows * span) << code.k_coarse, dtype=np.uint64)
-    block = max(rows, _POSTERIOR_BLOCK_WORDS >> code.k_msg)
-    per_message = np.empty((block, 1 << code.k_msg), dtype=float)
-    return buffer, per_message
+def _posterior_block(code: CosetCode, z: np.ndarray, table: np.ndarray, out: np.ndarray,
+                     runs: np.ndarray, totals: np.ndarray) -> None:
+    """Writes H(S | Z = z) for a block of outputs z into out.
 
-
-def _posterior_share(
-    code: CosetCode, z: np.ndarray, table: np.ndarray, out: np.ndarray, buffers: tuple
-) -> None:
-    """Writes H(S | Z = z) for each output of z into out, through buffers.
-
-    The words stream through the buffer, filled in place: a batch of samples
-    over the whole fine code, or, once the fine code alone passes the
-    budget, one sample over a run of whole messages; the entropies are taken
-    a block of samples at a time.  Each per-message total is the same sum
-    over the same 2^k_coarse contiguous likelihoods however the runs fall.
-    A block with a zero entry in any row's posterior (p = 0, or an underflow)
-    takes each row's entropy alone, skipping those entries, as 0 log 0 = 0.
+    runs holds a run of words, filled in place: a row per sample of a batch
+    over the whole fine code, or, once the fine code alone passes the budget,
+    one sample over a run of whole messages; totals holds the block's
+    per-message totals.  Each per-message total is the same sum over the
+    same 2^k_coarse contiguous likelihoods however the runs fall.  A block
+    with a zero entry in any row's posterior (p = 0, or an underflow) takes
+    each row's entropy alone, skipping those entries, as 0 log 0 = 0.
     """
-    buffer, per_message = buffers
     words = code._fine_words
     cosets, messages = 1 << code.k_coarse, 1 << code.k_msg
-    rows = max(1, len(buffer) >> code.k_fine)
-    span = len(buffer) // (rows * cosets)
-    for start in range(0, len(z), len(per_message)):
-        block = z[start : start + len(per_message)]
-        for first in range(0, len(block), rows):
-            batch = block[first : first + rows, None]
-            count = len(batch)
-            for lo in range(0, messages, span):
-                hi = min(lo + span, messages)
-                size = count * (hi - lo) * cosets
-                run = buffer[:size]
-                fine = words[lo * cosets : hi * cosets]
-                np.bitwise_xor(batch, fine, out=run.reshape(count, -1))
-                # The distances overwrite the words as int64, the intp that
-                # take reads without a cast (it casts a uint8 index on every
-                # call); they lie in [0, n], so "clip" never clips.  The
-                # likelihoods then overwrite the distances: each is written
-                # where its own index was read, and "clip" takes no copy of
-                # an index array that out shares.
-                index = run.view(np.int64)
-                np.bitwise_count(run, out=index)
-                likelihood = np.take(table, index, out=run.view(float), mode="clip")
-                likelihood.reshape(count, hi - lo, cosets).sum(
-                    axis=2, out=per_message[first : first + count, lo:hi]
-                )
-        posterior = per_message[: len(block)]
-        posterior /= posterior.sum(axis=1)[:, None]
-        if (posterior > 0.0).all():
-            out[start : start + len(block)] = -(posterior * np.log2(posterior)).sum(axis=1)
-        else:
-            out[start : start + len(block)] = [_entropy_bits(row) for row in posterior]
+    rows, span = runs.shape[0], runs.shape[1] >> code.k_coarse
+    for first in range(0, len(z), rows):
+        batch = z[first : first + rows, None]
+        count = len(batch)
+        for lo in range(0, messages, span):
+            hi = min(lo + span, messages)
+            # One contiguous run: a batch of several samples spans every
+            # message, and a ragged run of messages is one sample's.
+            run = runs[:count, : (hi - lo) * cosets]
+            np.bitwise_xor(batch, words[lo * cosets : hi * cosets], out=run)
+            # The distances overwrite the words as int64, the intp that take
+            # reads without a cast (it casts a uint8 index on every call);
+            # they lie in [0, n], so "clip" never clips.  The likelihoods then
+            # overwrite the distances: each is written where its own index
+            # was read, and "clip" takes no copy of an index array that out
+            # shares.
+            index = run.view(np.int64)
+            np.bitwise_count(run, out=index)
+            likelihood = np.take(table, index, out=run.view(float), mode="clip")
+            likelihood.reshape(count, hi - lo, cosets).sum(
+                axis=2, out=totals[first : first + count, lo:hi]
+            )
+    posterior = totals[: len(z)]
+    posterior /= posterior.sum(axis=1)[:, None]
+    if (posterior > 0.0).all():
+        out[:] = -(posterior * np.log2(posterior)).sum(axis=1)
+    else:
+        out[:] = [_entropy_bits(row) for row in posterior]
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -657,12 +641,9 @@ def monte_carlo_equivocation(
     Bayes over all fine-code words.  `workers` splits the samples into that
     many substreams of rng (worker w draws from rng.substream(f"worker-{w}")):
     a reproducible sample layout, so a fixed (seed, workers) pair reproduces
-    exactly.  Every worker runs in this process; a large call evaluates its
-    posteriors in one helper thread per CPU the calling thread may use, at
-    most two, each pinned to its CPU (where the kernel does not balance load,
-    a new thread stays on its creator's CPU) and each with its own working
-    buffers, so memory grows with the share count while the output depends
-    on `workers` but never on the CPU count.
+    exactly.  Every worker runs in this process, and a large call shares its
+    posteriors out between pinned helper threads (see `_posterior_entropy_bits`),
+    so the output depends on `workers` but never on the CPU count.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

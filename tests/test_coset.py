@@ -763,10 +763,18 @@ def test_posterior_runs_of_one_message_at_default_budget(p):
     # 2^k_coarse = 2^16 words per message fills the default budget, so each
     # sample is walked one message at a time.
     code = _random_code("run-k16", 20, 18, 16)
-    assert len(coset._posterior_buffers(code)[0]) == 1 << code.k_coarse
     stream = _rng("run-k16-rows")
     rows = [0, (1 << 20) - 1, int(code._fine_words[5])] + [stream.next_bits(20) for _ in range(5)]
-    _assert_posterior_equals_loop_reference(code, p, rows, (coset._POSTERIOR_BATCH_WORDS,))
+    real_block = coset._posterior_block
+    run_shapes = set()
+
+    def block(code, z, table, out, runs, totals):
+        run_shapes.add(runs.shape)
+        real_block(code, z, table, out, runs, totals)
+
+    with mock.patch.object(coset, "_posterior_block", block):
+        _assert_posterior_equals_loop_reference(code, p, rows, (coset._POSTERIOR_BATCH_WORDS,))
+    assert run_shapes == {(1, 1 << code.k_coarse)}
 
 
 def test_posterior_working_memory_bounded_by_budget():
@@ -830,15 +838,15 @@ def test_posterior_working_memory_bounded_on_eight_cpus():
     code = _random_code("mem-k20", 24, 20, 10)
     code._fine_words
     bound = 4 * (8 * coset._POSTERIOR_BATCH_WORDS)
-    real_share = coset._posterior_share
+    real_block = coset._posterior_block
     share_sizes = []
 
-    def share(code, z, *rest):
+    def block(code, z, *rest):
         share_sizes.append(len(z))
-        real_share(code, z, *rest)
+        real_block(code, z, *rest)
 
     cpus = mock.Mock(return_value=_share_cpu_lists()[1] * 4)
-    with mock.patch.multiple(coset, _posterior_cpus=cpus, _posterior_share=share):
+    with mock.patch.multiple(coset, _posterior_cpus=cpus, _posterior_block=block):
         tracemalloc.start()
         try:
             monte_carlo_equivocation(code, Bsc(0.2), 8, _rng("mem-k20-mc"))
@@ -901,17 +909,17 @@ def test_threaded_posterior_keeps_caller_threads_and_affinity():
 def test_share_exception_reaches_caller_after_every_helper():
     code, z, table = _k16_posterior_inputs(9)
     failure = ArithmeticError("share 1 failed")
-    real_share = coset._posterior_share
+    real_block = coset._posterior_block
     done = []
 
-    def share(code, z_block, *rest):
+    def block(code, z_block, *rest):
         if z_block[0] == z[3]:  # the fourth of nine one-sample blocks
             raise failure
-        real_share(code, z_block, *rest)
+        real_block(code, z_block, *rest)
         done.append(len(z_block))
 
     before = threading.active_count()
-    with _threaded(_share_cpu_lists()[-1]), mock.patch.object(coset, "_posterior_share", share):
+    with _threaded(_share_cpu_lists()[-1]), mock.patch.object(coset, "_posterior_block", block):
         with pytest.raises(ArithmeticError) as caught:
             _posterior_entropy_bits(code, z, table)
     assert caught.value is failure
@@ -985,6 +993,7 @@ def _per_sample_outputs(code, p, samples, rng, workers):
     workers=st.integers(1, 5),
 )
 @example(code=_hamming_full_message_code(), p=0.2, samples=300, workers=1)  # k_coarse = 0
+@example(code=_random_code("wide-63", 63, 20, 10), p=0.5, samples=40, workers=2)  # widest words
 def test_block_sampler_equals_per_sample_reference(code, p, samples, workers):
     # A block holds 2^16 // (k_fine + 32n) samples, 165..1985 here, so a call
     # can end mid-block, and workers can outnumber samples.

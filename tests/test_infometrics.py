@@ -203,7 +203,8 @@ def test_awgn_mi_matches_reference_table(s2):
 def test_awgn_mi_matches_scipy_entropy_integral():
     # A second identity, I = h(W) - h(W|X), integrated by scipy over w, on a
     # geometric grid and at sigma^2 = 2.
-    integrate = pytest.importorskip("scipy.integrate")
+    from scipy import integrate  # the `test` extra; a missing scipy fails here, not skips
+
     for s2 in [*np.geomspace(1e-3, 1e5, 25), 2.0]:
         s2 = float(s2)
         top = 1.0 + 40.0 * math.sqrt(s2)
